@@ -31,6 +31,8 @@ type Client struct {
 	// wg joins the per-shard batch goroutines; Close waits on it after
 	// flipping closed, so no request goroutine outlives the client.
 	wg sync.WaitGroup
+	// scratch pools ResolveBatch's working sets (*batchScratch).
+	scratch sync.Pool
 
 	mu        sync.Mutex
 	closed    bool
@@ -49,9 +51,11 @@ type Client struct {
 	invalidations int
 }
 
-// batchJoinHook, when non-nil, runs as each batch goroutine finishes but
-// before it leaves the join group — the close-join regression test uses it
-// to prove Close waited.
+// batchJoinHook, when non-nil, runs as each spawned batch goroutine
+// finishes, after its batch has its answer but before the goroutine leaves
+// Close's join group — the close-join regression test uses it to prove
+// Close waited. The shard a batch runs on the caller's goroutine never
+// fires it.
 var batchJoinHook func()
 
 // cacheEntry tags each cached binding with its shard, so a revision
@@ -62,9 +66,10 @@ type cacheEntry struct {
 }
 
 // flight is one in-progress resolution that concurrent identical lookups
-// wait on instead of issuing their own round-trips.
+// wait on instead of issuing their own round-trips. done is released once,
+// after e and err are set.
 type flight struct {
-	done chan struct{}
+	done sync.WaitGroup
 	e    core.Entity
 	err  error
 }
@@ -103,18 +108,6 @@ func (o lruOption) apply(c *Client) {
 // is trusted — the coherent-cache staleness bound, per shard.
 func WithLRU(n int) ClientOption {
 	return lruOption(n)
-}
-
-type poolOption int
-
-func (poolOption) apply(*Client) {}
-
-// WithPoolSize is a no-op kept for compatibility: requests to one shard
-// used to check out exclusive pooled connections, but the multiplexed
-// wire client pipelines concurrent requests over one shared connection
-// per replica, so there is no idle pool left to size.
-func WithPoolSize(n int) ClientOption {
-	return poolOption(n)
 }
 
 type timeoutOption time.Duration
@@ -253,29 +246,39 @@ func (c *Client) Routes() *nameserver.RouteInfo { return c.routes.Clone() }
 // across the shard's replicas on transport errors. Concurrent resolutions
 // of the same name share one round-trip (and its outcome, including a
 // failure — but a failed flight is never reused by later calls).
+//
+// The cache key is built into stack bytes, and a hit or a coalesced
+// lookup is answered from them; only a miss materializes the key.
+//
+//namingvet:allocfree
 func (c *Client) Resolve(p core.Path) (core.Entity, error) {
 	// A non-canonical name fails here, not after three replica retries:
 	// the server would reject it as firmly as the first replica did.
-	if _, err := nameserver.CanonicalWirePath(p); err != nil {
+	if err := nameserver.CheckWirePath(p); err != nil {
 		return core.Undefined, err
 	}
-	key := p.String()
+	var buf [keyBufSize]byte
+	kb := p.AppendString(buf[:0])
 	c.mu.Lock()
 	if c.cache != nil {
-		if entry, ok := c.cache.Get(key); ok {
+		if entry, ok := lru.GetBytes(c.cache, kb); ok {
 			c.hits++
 			c.mu.Unlock()
 			return entry.entity, nil
 		}
 	}
-	if f, ok := c.flights[key]; ok {
+	if f, ok := c.flights[string(kb)]; ok {
 		// Someone is already fetching this name: share their answer.
 		c.coalesced++
 		c.mu.Unlock()
-		<-f.done
+		f.done.Wait()
 		return f.e, f.err
 	}
-	f := &flight{done: make(chan struct{})}
+	//namingvet:allocfree-exempt -- the miss key: the flight table, then the cache, retains it
+	key := string(kb)
+	//namingvet:allocfree-exempt -- the miss's flight: concurrent lookups of the name wait on it
+	f := &flight{}
+	f.done.Add(1)
 	c.flights[key] = f
 	c.misses++
 	c.mu.Unlock()
@@ -291,9 +294,13 @@ func (c *Client) Resolve(p core.Path) (core.Entity, error) {
 	delete(c.flights, key)
 	c.mu.Unlock()
 	f.e, f.err = e, err
-	close(f.done)
+	f.done.Done()
 	return e, err
 }
+
+// keyBufSize is the stack buffer Resolve builds a cache key in; longer
+// names spill to the heap.
+const keyBufSize = 128
 
 // resolveAtShard runs one single-name round-trip against the shard, with
 // bounded retry: each transport failure retires the poisoned shared
@@ -312,6 +319,7 @@ func (c *Client) resolveAtShard(shard int, p core.Path) (core.Entity, uint64, er
 			if errors.Is(err, ErrClientClosed) {
 				return core.Undefined, 0, err
 			}
+			//namingvet:allocfree-exempt -- cold: a failed attempt formats its error
 			lastErr = fmt.Errorf("shard %d: %w", shard, err)
 			continue
 		}
@@ -325,6 +333,7 @@ func (c *Client) resolveAtShard(shard int, p core.Path) (core.Entity, uint64, er
 		set.retire(conn)
 		c.noteFailover(attempt)
 		avoid = conn.replica
+		//namingvet:allocfree-exempt -- cold: a failed attempt formats its error
 		lastErr = fmt.Errorf("shard %d replica %d: %w", shard, conn.replica, err)
 	}
 	return core.Undefined, 0, lastErr
@@ -344,6 +353,7 @@ func (c *Client) batchAtShard(shard int, keys []core.Path) ([]BatchResult, uint6
 			if errors.Is(err, ErrClientClosed) {
 				return nil, 0, err
 			}
+			//namingvet:allocfree-exempt -- cold: a failed attempt formats its error
 			lastErr = fmt.Errorf("shard %d: %w", shard, err)
 			continue
 		}
@@ -355,6 +365,7 @@ func (c *Client) batchAtShard(shard int, keys []core.Path) ([]BatchResult, uint6
 		set.retire(conn)
 		c.noteFailover(attempt)
 		avoid = conn.replica
+		//namingvet:allocfree-exempt -- cold: a failed attempt formats its error
 		lastErr = fmt.Errorf("shard %d replica %d: %w", shard, conn.replica, err)
 	}
 	return nil, 0, lastErr
@@ -412,18 +423,23 @@ type BatchResult = nameserver.BatchResult
 // that stays unreachable yields per-item errors for its names only —
 // healthy shards' results are always returned; the error is non-nil only
 // when nothing at all was resolvable.
+//
+// The working set comes from a pool (see batchScratch), a hit is looked
+// up by its key bytes, and one shard's round-trip runs on the caller's
+// goroutine, so a warm client allocates only the returned slice, one key
+// per distinct miss, the wire batches, and a goroutine per further shard.
+//
+//namingvet:allocfree
 func (c *Client) ResolveBatch(paths []core.Path) ([]BatchResult, error) {
+	//namingvet:allocfree-exempt -- the result slice is handed to the caller
 	out := make([]BatchResult, len(paths))
 	if len(paths) == 0 {
 		return out, nil
 	}
+	sc := c.getScratch(len(paths))
+	defer c.putScratch(sc)
 
-	// Partition into per-shard work lists of unique keys.
-	type shardWork struct {
-		keys  []core.Path
-		index map[string][]int // key -> positions in paths
-	}
-	work := make(map[int]*shardWork)
+	// Partition into per-shard wire batches of unique keys.
 	answered := 0 // paths with a definitive outcome (cache, success, or remote error)
 	c.mu.Lock()
 	if c.closed {
@@ -434,16 +450,17 @@ func (c *Client) ResolveBatch(paths []core.Path) ([]BatchResult, error) {
 		return out, ErrClientClosed
 	}
 	for i, p := range paths {
-		if _, err := nameserver.CanonicalWirePath(p); err != nil {
+		sc.slots[i] = batchSlot{shard: -1}
+		if err := nameserver.CheckWirePath(p); err != nil {
 			// A non-canonical name fails in its slot without touching the
 			// cache or the wire; the rest of the batch proceeds.
 			out[i] = BatchResult{Entity: core.Undefined, Err: err}
 			answered++
 			continue
 		}
-		key := p.String()
+		sc.key = p.AppendString(sc.key[:0])
 		if c.cache != nil {
-			if entry, ok := c.cache.Get(key); ok {
+			if entry, ok := lru.GetBytes(c.cache, sc.key); ok {
 				c.hits++
 				out[i] = BatchResult{Entity: entry.entity}
 				answered++
@@ -451,93 +468,168 @@ func (c *Client) ResolveBatch(paths []core.Path) ([]BatchResult, error) {
 			}
 		}
 		c.misses++
-		shard := c.routes.ShardFor(p)
-		w := work[shard]
-		if w == nil {
-			w = &shardWork{index: make(map[string][]int)}
-			work[shard] = w
+		slot, seen := sc.misses[string(sc.key)]
+		if !seen {
+			//namingvet:allocfree-exempt -- the miss key: the cache retains it
+			key := string(sc.key)
+			shard := c.routes.ShardFor(p)
+			sb := &sc.shards[shard]
+			slot = batchSlot{shard: int32(shard), k: int32(len(sb.paths))}
+			sb.paths = append(sb.paths, p)
+			sb.keys = append(sb.keys, key)
+			sc.misses[key] = slot
 		}
-		if _, seen := w.index[key]; !seen {
-			w.keys = append(w.keys, p)
-		}
-		w.index[key] = append(w.index[key], i)
+		sc.slots[i] = slot
 	}
-	// Register the shard goroutines with the join group while the closed
-	// check above is still fresh: Close flips closed under this mutex
-	// before waiting, so it either sees these Adds or we see closed.
-	c.wg.Add(len(work))
+	// The first shard with work runs on this goroutine; the others get
+	// one goroutine each. Register those with the join group while the
+	// closed check above is still fresh: Close flips closed under this
+	// mutex before waiting, so it either sees these Adds or we see closed.
+	inline, spawned := -1, 0
+	for s := range sc.shards {
+		if len(sc.shards[s].paths) == 0 {
+			continue
+		}
+		if inline < 0 {
+			inline = s
+		} else {
+			spawned++
+		}
+	}
+	c.wg.Add(spawned)
 	c.mu.Unlock()
-	if len(work) == 0 {
+	if inline < 0 {
 		return out, nil
 	}
 
-	// One concurrent wire batch per shard.
-	type shardAnswer struct {
-		shard   int
-		results []BatchResult
-		rev     uint64
-		err     error
-	}
-	answers := make(chan shardAnswer, len(work))
-	runShard := func(shard int, w *shardWork) {
-		if batchJoinHook != nil {
-			defer batchJoinHook()
-		}
-		results, rev, err := c.batchAtShard(shard, w.keys)
-		answers <- shardAnswer{shard: shard, results: results, rev: rev, err: err}
-	}
-	for shard, w := range work {
-		if len(work) == 1 {
-			// One shard: run on the caller's goroutine. A spawn here buys no
-			// concurrency and charges a fresh stack (grown through the codec's
-			// reflection) to every single-shard batch.
-			func() {
+	sc.done.Add(spawned)
+	for s := inline + 1; s < len(sc.shards); s++ {
+		if len(sc.shards[s].paths) > 0 {
+			// The goroutine releases the batch (sc.done) before it leaves
+			// Close's join group (c.wg).
+			//namingvet:allocfree-exempt -- fan-out: each further shard's round-trip overlaps on its own goroutine
+			go func() {
 				defer c.wg.Done()
-				runShard(shard, w)
+				if batchJoinHook != nil {
+					defer batchJoinHook()
+				}
+				defer sc.done.Done()
+				c.fetchShard(sc, s)
 			}()
-			continue
 		}
-		go func(shard int, w *shardWork) {
-			defer c.wg.Done()
-			runShard(shard, w)
-		}(shard, w)
 	}
+	c.fetchShard(sc, inline)
+	sc.done.Wait()
 
 	var firstErr error
-	for range work {
-		a := <-answers
-		w := work[a.shard]
-		if a.err != nil {
-			// The shard stayed unreachable through every retry: its names
-			// fail individually; other shards' answers stand.
+	c.mu.Lock()
+	for s := range sc.shards {
+		sb := &sc.shards[s]
+		if len(sb.paths) == 0 {
+			continue
+		}
+		if sb.err != nil {
 			if firstErr == nil {
-				firstErr = a.err
-			}
-			for _, positions := range w.index {
-				for _, i := range positions {
-					out[i] = BatchResult{Entity: core.Undefined, Err: a.err}
-				}
+				firstErr = sb.err
 			}
 			continue
 		}
-		c.mu.Lock()
-		c.noteRevision(a.shard, a.rev, nil)
-		for k, res := range a.results {
-			key := w.keys[k].String()
-			if res.Err == nil && c.cache != nil {
-				c.cache.Put(key, cacheEntry{entity: res.Entity, shard: a.shard})
-			}
-			for _, i := range w.index[key] {
-				out[i] = res
-				answered++
+		c.noteRevision(s, sb.rev, nil)
+		if c.cache == nil {
+			continue
+		}
+		for k, res := range sb.results {
+			if res.Err == nil {
+				c.cache.Put(sb.keys[k], cacheEntry{entity: res.Entity, shard: s})
 			}
 		}
-		c.mu.Unlock()
+	}
+	c.mu.Unlock()
+	for i, slot := range sc.slots {
+		if slot.shard < 0 {
+			continue
+		}
+		sb := &sc.shards[slot.shard]
+		if sb.err != nil {
+			// The shard stayed unreachable through every retry: its names
+			// fail individually; other shards' answers stand.
+			out[i] = BatchResult{Entity: core.Undefined, Err: sb.err}
+			continue
+		}
+		out[i] = sb.results[slot.k]
+		answered++
 	}
 	if firstErr != nil && answered == 0 {
 		return out, firstErr
 	}
 	return out, nil
+}
+
+// batchScratch is one ResolveBatch call's working set. Calls draw it from
+// the client's pool, so a warm client partitions a batch, deduplicates
+// its misses and fans out without allocating.
+type batchScratch struct {
+	key    []byte               // cache-key bytes of the path being sorted
+	slots  []batchSlot          // per path: where its answer comes from
+	misses map[string]batchSlot // this batch's distinct misses
+	shards []shardBatch         // per shard: its wire batch and outcome
+	done   sync.WaitGroup       // joins the spawned shard round-trips
+}
+
+// batchSlot locates one path's answer: result k of shard's wire batch, or
+// none (shard -1) when the path was answered without the wire.
+type batchSlot struct{ shard, k int32 }
+
+// shardBatch is one shard's share of a batch: its distinct misses in wire
+// order with their cache keys, then the round-trip's outcome. Each shard's
+// round-trip writes only its own shardBatch.
+type shardBatch struct {
+	paths   []core.Path
+	keys    []string
+	results []BatchResult
+	rev     uint64
+	err     error
+}
+
+// maxPooledBatch bounds the scratch the pool keeps: an outsized batch's
+// working set is left to the collector rather than pinned.
+const maxPooledBatch = 1024
+
+// getScratch returns an empty working set for a batch of n paths.
+func (c *Client) getScratch(n int) *batchScratch {
+	sc, _ := c.scratch.Get().(*batchScratch)
+	if sc == nil {
+		//namingvet:allocfree-exempt -- amortized: one working set per concurrent batch caller, then pooled
+		sc = &batchScratch{misses: make(map[string]batchSlot), shards: make([]shardBatch, len(c.shards))}
+	}
+	if cap(sc.slots) < n {
+		//namingvet:allocfree-exempt -- amortized: the slot table grows to the largest pooled batch once
+		sc.slots = make([]batchSlot, n)
+	}
+	sc.slots = sc.slots[:n]
+	return sc
+}
+
+// putScratch empties sc — dropping the caller's paths, the keys and the
+// results — and returns it to the pool.
+func (c *Client) putScratch(sc *batchScratch) {
+	if cap(sc.slots) > maxPooledBatch {
+		return
+	}
+	clear(sc.misses)
+	for s := range sc.shards {
+		sb := &sc.shards[s]
+		clear(sb.paths)
+		clear(sb.keys)
+		*sb = shardBatch{paths: sb.paths[:0], keys: sb.keys[:0]}
+	}
+	c.scratch.Put(sc)
+}
+
+// fetchShard runs one shard's wire batch into its shardBatch.
+func (c *Client) fetchShard(sc *batchScratch, shard int) {
+	sb := &sc.shards[shard]
+	sb.results, sb.rev, sb.err = c.batchAtShard(shard, sb.paths)
 }
 
 // Stats returns cache hits and misses so far (coalesced lookups count as
@@ -592,6 +684,8 @@ func (c *Client) Close() {
 
 // isRemote reports whether err is a definitive server-side answer (the
 // name does not resolve) rather than a transport failure.
+//
+//namingvet:allocfree-exempt -- cold: only failed round-trips are classified
 func isRemote(err error) bool {
 	var re *nameserver.RemoteError
 	return errors.As(err, &re)
@@ -652,7 +746,10 @@ func (p *replicaSet) get(avoid int) (*sharedConn, error) {
 		return nil, ErrClientClosed
 	}
 	now := time.Now()
-	candidates := make([]int, 0, len(p.addrs))
+	// The candidate list lives on the stack: every request passes here,
+	// and replica sets are small.
+	var buf [8]int
+	candidates := buf[:0]
 	for r := range p.addrs {
 		if r != avoid && p.breakers[r].allows(now, p.breakerThreshold) {
 			candidates = append(candidates, r)
@@ -670,6 +767,7 @@ func (p *replicaSet) get(avoid int) (*sharedConn, error) {
 	}
 	p.mu.Unlock()
 	if len(candidates) == 0 {
+		//namingvet:allocfree-exempt -- cold: every replica's breaker is open
 		return nil, fmt.Errorf("all %d replicas cooling down after repeated failures", len(p.addrs))
 	}
 	var lastErr error
@@ -743,6 +841,8 @@ func (p *replicaSet) getReplica(r int) (*sharedConn, error) {
 
 // dialReplica dials one replica under the set's timeout, outside any lock
 // (dialing is wire I/O; lockheld).
+//
+//namingvet:allocfree-exempt -- cold: a connection is dialed once, then shared by every request
 func (p *replicaSet) dialReplica(r int) (*sharedConn, error) {
 	var nc *nameserver.Client
 	var err error

@@ -47,7 +47,8 @@ func TestResolveNonCanonicalFailsFast(t *testing.T) {
 
 // TestCloseWaitsForBatchGoroutines pins the join discipline goroleak
 // demands: Close must not return while per-shard batch goroutines are
-// still running.
+// still running. The batch spans several shards: one runs on the caller's
+// goroutine, and the hook holds the spawned others.
 func TestCloseWaitsForBatchGoroutines(t *testing.T) {
 	cl := startCluster(t, 4)
 	client, err := Dial("tcp", cl.Addrs()[0])

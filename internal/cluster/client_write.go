@@ -66,7 +66,11 @@ func (c *Client) Invalidations() int {
 // goes to the primary of the shard that serves (and will resolve) the
 // resulting name.
 func (c *Client) Bind(dir core.Path, name core.Name, target core.Entity) error {
-	shard, conn, err := c.writeConn(dir, name)
+	shard, err := c.writeShard(dir, name)
+	if err != nil {
+		return err
+	}
+	conn, err := c.primary(shard)
 	if err != nil {
 		return err
 	}
@@ -76,7 +80,11 @@ func (c *Client) Bind(dir core.Path, name core.Name, target core.Entity) error {
 
 // Unbind removes the binding for name in the cluster directory at dir.
 func (c *Client) Unbind(dir core.Path, name core.Name) error {
-	shard, conn, err := c.writeConn(dir, name)
+	shard, err := c.writeShard(dir, name)
+	if err != nil {
+		return err
+	}
+	conn, err := c.primary(shard)
 	if err != nil {
 		return err
 	}
@@ -87,7 +95,11 @@ func (c *Client) Unbind(dir core.Path, name core.Name) error {
 // Mkcontext creates a directory bound as name under the cluster directory
 // at dir and returns the created entity.
 func (c *Client) Mkcontext(dir core.Path, name core.Name) (core.Entity, error) {
-	shard, conn, err := c.writeConn(dir, name)
+	shard, err := c.writeShard(dir, name)
+	if err != nil {
+		return core.Undefined, err
+	}
+	conn, err := c.primary(shard)
 	if err != nil {
 		return core.Undefined, err
 	}
@@ -98,26 +110,32 @@ func (c *Client) Mkcontext(dir core.Path, name core.Name) (core.Entity, error) {
 	return e, nil
 }
 
-// writeConn routes a write to its shard's primary connection. The shard
-// is chosen by the full path of the binding being written — dir plus
-// name — so the mutation lands on the server that resolves it.
-func (c *Client) writeConn(dir core.Path, name core.Name) (int, *sharedConn, error) {
+// writeShard routes a write to its shard. The shard is chosen by the full
+// path of the binding being written — dir plus name — so the mutation
+// lands on the server that resolves it. The dial is left to primary, so
+// the function that takes the name only checks it and never reaches the
+// wire (wirecanon's boundary rule).
+func (c *Client) writeShard(dir core.Path, name core.Name) (int, error) {
 	full := make(core.Path, 0, len(dir)+1)
 	full = append(append(full, dir...), name)
 	// A non-canonical name fails here, before the dial: the wire client
-	// re-canonicalizes, but routing a bad name would burn a connection.
-	if _, err := nameserver.CanonicalWirePath(full); err != nil {
-		return 0, nil, err
+	// canonicalizes it, but routing a bad name would burn a connection.
+	if err := nameserver.CheckWirePath(full); err != nil {
+		return 0, err
 	}
-	shard := c.routes.ShardFor(full)
+	return c.routes.ShardFor(full), nil
+}
+
+// primary returns the shard's primary connection, dialing it if needed.
+func (c *Client) primary(shard int) (*sharedConn, error) {
 	conn, err := c.shards[shard].getReplica(0)
 	if err != nil {
 		if errors.Is(err, ErrClientClosed) {
-			return shard, nil, err
+			return nil, err
 		}
-		return shard, nil, fmt.Errorf("shard %d primary: %w", shard, err)
+		return nil, fmt.Errorf("shard %d primary: %w", shard, err)
 	}
-	return shard, conn, nil
+	return conn, nil
 }
 
 // writeDone settles one write attempt: the reply's revision feeds the

@@ -10,8 +10,8 @@
 // from any of them.
 //
 // Client is the scalable front end: it routes each name to its shard,
-// pools connections per shard, batches multi-name resolutions into one
-// round-trip per shard, coalesces concurrent identical lookups
+// shares one multiplexed connection per replica, batches multi-name
+// resolutions into one round-trip per shard, coalesces concurrent identical lookups
 // (singleflight), and keeps a revision-tracked LRU cache whose entries are
 // purged per shard when that shard's binding revision advances — the same
 // one-round-trip staleness bound nameserver.WithCoherentCache gives a

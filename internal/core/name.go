@@ -71,6 +71,19 @@ func (p Path) String() string {
 	return b.String()
 }
 
+// AppendString appends the path's String form to b and returns the
+// extended buffer. Cache lookups build their key this way into reusable
+// bytes, so a hit converts nothing to a string.
+func (p Path) AppendString(b []byte) []byte {
+	for i, n := range p {
+		if i > 0 {
+			b = append(b, Separator...)
+		}
+		b = append(b, n...)
+	}
+	return b
+}
+
 // Clone returns an independent copy of the path.
 func (p Path) Clone() Path {
 	q := make(Path, len(p))

@@ -64,6 +64,9 @@ func TestPathString(t *testing.T) {
 		if got := tt.give.String(); got != tt.want {
 			t.Errorf("Path(%v).String() = %q, want %q", tt.give, got, tt.want)
 		}
+		if got := string(tt.give.AppendString([]byte("k:"))); got != "k:"+tt.want {
+			t.Errorf("Path(%v).AppendString = %q, want %q", tt.give, got, "k:"+tt.want)
+		}
 	}
 }
 

@@ -25,7 +25,7 @@ func allocFloor(t *testing.T, name string, want float64, f func()) {
 }
 
 // TestServerResolveAllocFree pins the server's whole resolve path —
-// handle → resolveOne → checkWireCanonical → World.Resolve — at zero
+// handle → resolveOne → CheckWirePath → World.Resolve — at zero
 // allocations once the worker's scratch has warmed up. This is the
 // decode→resolve→encode worker loop minus the two exempted gob calls.
 func TestServerResolveAllocFree(t *testing.T) {

@@ -509,11 +509,13 @@ func reqLabel(req *request) string {
 // and the connection's read deadline covers the leader's blocking decode
 // (see lead and WithTimeout).
 func (c *Client) call(req request) (response, error) {
+	//namingvet:allocfree-exempt -- per-call state: the pending table holds it until a reader delivers the response
 	pc := &pendingCall{req: req, done: make(chan struct{})}
 	c.pmu.Lock()
 	if c.broken != nil {
 		err := c.broken
 		c.pmu.Unlock()
+		//namingvet:allocfree-exempt -- cold: a call on a dead client formats its error
 		return response{}, fmt.Errorf("%s: %w", reqLabel(&pc.req), err)
 	}
 	c.nextID++
@@ -533,6 +535,7 @@ func (c *Client) call(req request) (response, error) {
 	}
 	arm := func() {
 		if timer == nil && c.timeout > 0 {
+			//namingvet:allocfree-exempt -- a contended wait under a call timeout needs a timer; uncontended calls arm none
 			timer = time.NewTimer(time.Until(deadline))
 			timeoutC = timer.C
 		}
@@ -567,6 +570,7 @@ func (c *Client) call(req request) (response, error) {
 		}
 	}
 	if err := c.send(pc); err != nil {
+		//namingvet:allocfree-exempt -- cold: a failed write poisons the client
 		c.fail(fmt.Errorf("send request: %w", err))
 		return c.finish(pc)
 	}
@@ -610,6 +614,7 @@ func (c *Client) call(req request) (response, error) {
 // finish unpacks a delivered call.
 func (c *Client) finish(pc *pendingCall) (response, error) {
 	if pc.err != nil {
+		//namingvet:allocfree-exempt -- cold: a failed call formats its error
 		return response{}, fmt.Errorf("%s: %w", reqLabel(&pc.req), pc.err)
 	}
 	return pc.resp, nil
@@ -621,6 +626,8 @@ func (c *Client) finish(pc *pendingCall) (response, error) {
 // with a timeout and the client is poisoned: the wire may still owe us
 // the late response, so the stream's pipeline depth is no longer known
 // and the only safe sequel is a fresh connection.
+//
+//namingvet:allocfree-exempt -- cold: only a call that timed out gets here
 func (c *Client) expire(pc *pendingCall) (response, error) {
 	c.pmu.Lock()
 	_, waiting := c.pending[pc.req.ID]
@@ -681,7 +688,7 @@ func (c *Client) admitRevision(rev uint64) bool {
 // has to cross the wire, so the hit path pays for the cache key and
 // nothing else.
 func (c *Client) Resolve(p core.Path) (core.Entity, error) {
-	if err := checkWireCanonical(p); err != nil {
+	if err := CheckWirePath(p); err != nil {
 		return core.Undefined, err
 	}
 	var key string
@@ -737,6 +744,7 @@ func (c *Client) ResolveRev(p core.Path) (core.Entity, uint64, error) {
 		return core.Undefined, 0, err
 	}
 	if resp.Err != "" {
+		//namingvet:allocfree-exempt -- cold: a name that does not resolve carries its error
 		return core.Undefined, resp.Rev, &RemoteError{Msg: resp.Err}
 	}
 	return core.Entity{ID: core.EntityID(resp.Ent), Kind: core.Kind(resp.Kind)}, resp.Rev, nil
@@ -745,6 +753,8 @@ func (c *Client) ResolveRev(p core.Path) (core.Entity, uint64, error) {
 // ResolveBatchRev resolves every path in one round-trip, bypassing the
 // client's own cache, and returns the batch's binding revision. Results
 // are in argument order; per-name failures are in the results.
+//
+//namingvet:allocfree
 func (c *Client) ResolveBatchRev(paths []core.Path) ([]BatchResult, uint64, error) {
 	raws, err := canonicalWirePaths(paths)
 	if err != nil {
@@ -756,11 +766,14 @@ func (c *Client) ResolveBatchRev(paths []core.Path) ([]BatchResult, uint64, erro
 		return nil, 0, err
 	}
 	if len(resp.Results) != len(paths) {
+		//namingvet:allocfree-exempt -- cold: a malformed response formats its error
 		return nil, 0, fmt.Errorf("resolve batch: got %d results for %d paths", len(resp.Results), len(paths))
 	}
+	//namingvet:allocfree-exempt -- the result slice is handed to the caller
 	out := make([]BatchResult, len(paths))
 	for k, res := range resp.Results {
 		if res.Err != "" {
+			//namingvet:allocfree-exempt -- cold: a name that does not resolve carries its error
 			out[k] = BatchResult{Entity: core.Undefined, Err: &RemoteError{Msg: res.Err}}
 			continue
 		}
@@ -794,7 +807,7 @@ func (c *Client) ResolveBatch(paths []core.Path) ([]BatchResult, error) {
 	var order []string
 	c.mu.Lock()
 	for i, p := range paths {
-		if err := checkWireCanonical(p); err != nil {
+		if err := CheckWirePath(p); err != nil {
 			out[i] = BatchResult{Entity: core.Undefined, Err: err}
 			continue
 		}

@@ -85,7 +85,7 @@ func mutationRequest(op uint8, dir core.Path, name core.Name) (request, error) {
 			return request{}, err
 		}
 	}
-	if err := checkWireCanonical(core.Path{name}); err != nil {
+	if err := CheckWirePath(core.Path{name}); err != nil {
 		return request{}, fmt.Errorf("binding name %q: %w", string(name), ErrNotCanonical)
 	}
 	return request{Op: op, Path: raw, Name: string(name)}, nil

@@ -93,11 +93,11 @@ func (s *Server) applyMutation(m mutation) (core.Entity, uint64, error) {
 		return core.Undefined, 0, ErrReadOnly
 	}
 	if len(m.dir) > 0 {
-		if err := checkWireCanonical(m.dir); err != nil {
+		if err := CheckWirePath(m.dir); err != nil {
 			return core.Undefined, 0, err
 		}
 	}
-	if err := checkWireCanonical(core.Path{m.name}); err != nil {
+	if err := CheckWirePath(core.Path{m.name}); err != nil {
 		return core.Undefined, 0, fmt.Errorf("name %q: %w", string(m.name), ErrNotCanonical)
 	}
 

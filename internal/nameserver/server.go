@@ -543,7 +543,7 @@ func (s *Server) resolveOne(scratch *core.Path, raw []string) result {
 		p = append(p, core.Name(c))
 	}
 	*scratch = p
-	if err := checkWireCanonical(p); err != nil {
+	if err := CheckWirePath(p); err != nil {
 		return result{Err: err.Error()}
 	}
 	e, err := s.world.Resolve(s.export, p)
