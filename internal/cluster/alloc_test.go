@@ -22,14 +22,6 @@ func clusterAllocFloor(t *testing.T, name string, want float64, f func()) {
 	}
 }
 
-func parsedTestPaths() []core.Path {
-	paths := make([]core.Path, len(testPaths))
-	for i, raw := range testPaths {
-		paths[i] = core.ParsePath(raw)
-	}
-	return paths
-}
-
 // batchOf repeats paths round-robin into a batch of n.
 func batchOf(paths []core.Path, n int) []core.Path {
 	batch := make([]core.Path, n)
@@ -39,10 +31,9 @@ func batchOf(paths []core.Path, n int) []core.Path {
 	return batch
 }
 
-// TestResolveAllocFloor: an uncached Resolve allocates its miss key, the
-// flight, and the round-trip's wire path, pending call and completion
-// channel — five, down from eight when validation copied the name and
-// replica lookup built a candidate list.
+// TestResolveAllocFloor: an uncached Resolve allocates its miss key and
+// the flight — two. The round-trip itself reuses a pooled call state for
+// its wire path, completion signal and timer, so it adds none.
 func TestResolveAllocFloor(t *testing.T) {
 	cl := startCluster(t, 4)
 	client, err := Dial("tcp", cl.Addrs()[0])
@@ -57,7 +48,7 @@ func TestResolveAllocFloor(t *testing.T) {
 		}
 	}
 	i := 0
-	clusterAllocFloor(t, "Resolve/uncached", 5, func() {
+	clusterAllocFloor(t, "Resolve/uncached", 2, func() {
 		if _, err := client.Resolve(paths[i%len(paths)]); err != nil {
 			t.Fatal(err)
 		}
@@ -67,9 +58,9 @@ func TestResolveAllocFloor(t *testing.T) {
 
 // TestResolveBatchAllocFloor pins the batch path. An all-hit batch is
 // answered from the cache by key bytes and allocates only the slice it
-// returns. A mixed batch adds one key per distinct miss and, per shard
-// round-trip, the wire batch, the pending call and the results; all but
-// one shard also pay for a goroutine.
+// returns. A mixed batch adds one key per distinct miss and nothing per
+// shard: each shard's round-trip is issued and collected on the caller's
+// goroutine over a pooled call state, into pooled results.
 func TestResolveBatchAllocFloor(t *testing.T) {
 	cl := startCluster(t, 4)
 	client, err := Dial("tcp", cl.Addrs()[0], WithLRU(64))
@@ -100,7 +91,7 @@ func TestResolveBatchAllocFloor(t *testing.T) {
 	if len(shards) != 2 {
 		t.Fatalf("miss names span %d shards, want 2", len(shards))
 	}
-	clusterAllocFloor(t, "ResolveBatch/mixed", 16, func() {
+	clusterAllocFloor(t, "ResolveBatch/mixed", 3, func() {
 		client.mu.Lock()
 		for _, key := range misses {
 			client.cache.Delete(key)

@@ -28,9 +28,6 @@ type Client struct {
 	retries int
 	backoff time.Duration
 
-	// wg joins the per-shard batch goroutines; Close waits on it after
-	// flipping closed, so no request goroutine outlives the client.
-	wg sync.WaitGroup
 	// scratch pools ResolveBatch's working sets (*batchScratch).
 	scratch sync.Pool
 
@@ -50,13 +47,6 @@ type Client struct {
 	push          bool
 	invalidations int
 }
-
-// batchJoinHook, when non-nil, runs as each spawned batch goroutine
-// finishes, after its batch has its answer but before the goroutine leaves
-// Close's join group — the close-join regression test uses it to prove
-// Close waited. The shard a batch runs on the caller's goroutine never
-// fires it.
-var batchJoinHook func()
 
 // cacheEntry tags each cached binding with its shard, so a revision
 // advance purges exactly the entries that shard vouched for.
@@ -339,36 +329,53 @@ func (c *Client) resolveAtShard(shard int, p core.Path) (core.Entity, uint64, er
 	return core.Undefined, 0, lastErr
 }
 
-// batchAtShard is resolveAtShard for one wire batch.
-func (c *Client) batchAtShard(shard int, keys []core.Path) ([]BatchResult, uint64, error) {
-	set := c.shards[shard]
-	var lastErr error
-	avoid := -1
-	for attempt := 0; attempt <= c.retries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(c.backoffDelay(attempt))
-		}
-		conn, err := set.get(avoid)
-		if err != nil {
-			if errors.Is(err, ErrClientClosed) {
-				return nil, 0, err
-			}
-			//namingvet:allocfree-exempt -- cold: a failed attempt formats its error
-			lastErr = fmt.Errorf("shard %d: %w", shard, err)
-			continue
-		}
-		results, rev, err := conn.ResolveBatchRev(keys)
-		if err == nil {
-			set.ok(conn.replica)
-			return results, rev, nil
-		}
-		set.retire(conn)
-		c.noteFailover(attempt)
-		avoid = conn.replica
-		//namingvet:allocfree-exempt -- cold: a failed attempt formats its error
-		lastErr = fmt.Errorf("shard %d replica %d: %w", shard, conn.replica, err)
+// issueShard sends one attempt at a shard's wire batch, on a replica
+// other than avoid if it can (-1 for none), without waiting for the
+// answer; collectShard collects it. A failed issue is recorded in sb for
+// collectShard to charge and retry like any failed attempt.
+func (c *Client) issueShard(shard int, sb *shardBatch, avoid int) {
+	sb.conn, sb.err = c.shards[shard].get(avoid)
+	if sb.err == nil {
+		sb.call, sb.err = sb.conn.IssueBatch(sb.paths)
 	}
-	return nil, 0, lastErr
+}
+
+// collectShard completes a shard's wire batch under resolveAtShard's
+// retry policy. Attempt 0 is the round-trip issueShard started; each
+// further attempt backs off, prefers another replica, and runs its
+// round-trip to completion before the next.
+func (c *Client) collectShard(shard int, sb *shardBatch) {
+	set := c.shards[shard]
+	avoid := -1
+	for attempt := 0; ; attempt++ {
+		if sb.err == nil {
+			sb.results, sb.rev, sb.err = sb.call.Collect(sb.results[:0])
+			if sb.err == nil {
+				set.ok(sb.conn.replica)
+				return
+			}
+		}
+		switch {
+		case errors.Is(sb.err, ErrClientClosed):
+			return
+		case sb.conn == nil:
+			//namingvet:allocfree-exempt -- cold: a failed attempt formats its error
+			sb.err = fmt.Errorf("shard %d: %w", shard, sb.err)
+		default:
+			// Transport failure: the shared connection is poisoned, retire
+			// it and charge the replica's breaker.
+			set.retire(sb.conn)
+			c.noteFailover(attempt)
+			avoid = sb.conn.replica
+			//namingvet:allocfree-exempt -- cold: a failed attempt formats its error
+			sb.err = fmt.Errorf("shard %d replica %d: %w", shard, sb.conn.replica, sb.err)
+		}
+		if attempt == c.retries {
+			return
+		}
+		time.Sleep(c.backoffDelay(attempt + 1))
+		c.issueShard(shard, sb, avoid)
+	}
 }
 
 // backoffDelay returns the wait before retry attempt (1-based): the base
@@ -418,16 +425,16 @@ type BatchResult = nameserver.BatchResult
 
 // ResolveBatch resolves every path with at most one round-trip per shard:
 // cache hits are answered locally, the rest are grouped by shard,
-// deduplicated, and sent as wire batches in parallel, each with the same
-// retry/failover policy as Resolve. Results are in argument order. A shard
-// that stays unreachable yields per-item errors for its names only —
-// healthy shards' results are always returned; the error is non-nil only
-// when nothing at all was resolvable.
+// deduplicated, and sent as wire batches that are all in flight at once,
+// each with the same retry/failover policy as Resolve. Results are in
+// argument order. A shard that stays unreachable yields per-item errors
+// for its names only — healthy shards' results are always returned; the
+// error is non-nil only when nothing at all was resolvable.
 //
 // The working set comes from a pool (see batchScratch), a hit is looked
-// up by its key bytes, and one shard's round-trip runs on the caller's
-// goroutine, so a warm client allocates only the returned slice, one key
-// per distinct miss, the wire batches, and a goroutine per further shard.
+// up by its key bytes, and the caller's goroutine issues every shard's
+// round-trip before it collects any, over pooled wire call states; a warm
+// client allocates only the returned slice and one key per distinct miss.
 //
 //namingvet:allocfree
 func (c *Client) ResolveBatch(paths []core.Path) ([]BatchResult, error) {
@@ -481,45 +488,22 @@ func (c *Client) ResolveBatch(paths []core.Path) ([]BatchResult, error) {
 		}
 		sc.slots[i] = slot
 	}
-	// The first shard with work runs on this goroutine; the others get
-	// one goroutine each. Register those with the join group while the
-	// closed check above is still fresh: Close flips closed under this
-	// mutex before waiting, so it either sees these Adds or we see closed.
-	inline, spawned := -1, 0
-	for s := range sc.shards {
-		if len(sc.shards[s].paths) == 0 {
-			continue
-		}
-		if inline < 0 {
-			inline = s
-		} else {
-			spawned++
-		}
-	}
-	c.wg.Add(spawned)
 	c.mu.Unlock()
-	if inline < 0 {
-		return out, nil
-	}
 
-	sc.done.Add(spawned)
-	for s := inline + 1; s < len(sc.shards); s++ {
-		if len(sc.shards[s].paths) > 0 {
-			// The goroutine releases the batch (sc.done) before it leaves
-			// Close's join group (c.wg).
-			//namingvet:allocfree-exempt -- fan-out: each further shard's round-trip overlaps on its own goroutine
-			go func() {
-				defer c.wg.Done()
-				if batchJoinHook != nil {
-					defer batchJoinHook()
-				}
-				defer sc.done.Done()
-				c.fetchShard(sc, s)
-			}()
+	// Every shard's round-trip is in flight before the first is awaited,
+	// so the shards overlap with no goroutine of their own. A hung shard
+	// costs about one call timeout however many others the batch touches
+	// (see nameserver.Client.collect's grace for calls collected late).
+	for s := range sc.shards {
+		if sb := &sc.shards[s]; len(sb.paths) > 0 {
+			c.issueShard(s, sb, -1)
 		}
 	}
-	c.fetchShard(sc, inline)
-	sc.done.Wait()
+	for s := range sc.shards {
+		if sb := &sc.shards[s]; len(sb.paths) > 0 {
+			c.collectShard(s, sb)
+		}
+	}
 
 	var firstErr error
 	c.mu.Lock()
@@ -573,7 +557,6 @@ type batchScratch struct {
 	slots  []batchSlot          // per path: where its answer comes from
 	misses map[string]batchSlot // this batch's distinct misses
 	shards []shardBatch         // per shard: its wire batch and outcome
-	done   sync.WaitGroup       // joins the spawned shard round-trips
 }
 
 // batchSlot locates one path's answer: result k of shard's wire batch, or
@@ -581,11 +564,13 @@ type batchScratch struct {
 type batchSlot struct{ shard, k int32 }
 
 // shardBatch is one shard's share of a batch: its distinct misses in wire
-// order with their cache keys, then the round-trip's outcome. Each shard's
-// round-trip writes only its own shardBatch.
+// order with their cache keys, the attempt in flight, then the outcome.
+// The results buffer is kept across pooled uses.
 type shardBatch struct {
 	paths   []core.Path
 	keys    []string
+	conn    *sharedConn
+	call    nameserver.BatchCall
 	results []BatchResult
 	rev     uint64
 	err     error
@@ -621,15 +606,10 @@ func (c *Client) putScratch(sc *batchScratch) {
 		sb := &sc.shards[s]
 		clear(sb.paths)
 		clear(sb.keys)
-		*sb = shardBatch{paths: sb.paths[:0], keys: sb.keys[:0]}
+		clear(sb.results)
+		*sb = shardBatch{paths: sb.paths[:0], keys: sb.keys[:0], results: sb.results[:0]}
 	}
 	c.scratch.Put(sc)
-}
-
-// fetchShard runs one shard's wire batch into its shardBatch.
-func (c *Client) fetchShard(sc *batchScratch, shard int) {
-	sb := &sc.shards[shard]
-	sb.results, sb.rev, sb.err = c.batchAtShard(shard, sb.paths)
 }
 
 // Stats returns cache hits and misses so far (coalesced lookups count as
@@ -664,10 +644,9 @@ func (c *Client) Failovers() int {
 	return c.failovers
 }
 
-// Close closes every shared connection, fails requests that race or
-// follow it with ErrClientClosed, and waits for in-flight batch
-// goroutines to finish — after Close returns, the client owns no
-// goroutines.
+// Close closes every shared connection and fails requests that race or
+// follow it: a batch in flight fails its shards' slots with
+// ErrClientClosed or the transport error the closed connection gave.
 func (c *Client) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -679,7 +658,6 @@ func (c *Client) Close() {
 	for _, p := range c.shards {
 		p.close()
 	}
-	c.wg.Wait()
 }
 
 // isRemote reports whether err is a definitive server-side answer (the

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"errors"
-	"sync/atomic"
+	"fmt"
+	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -45,51 +47,74 @@ func TestResolveNonCanonicalFailsFast(t *testing.T) {
 	}
 }
 
-// TestCloseWaitsForBatchGoroutines pins the join discipline goroleak
-// demands: Close must not return while per-shard batch goroutines are
-// still running. The batch spans several shards: one runs on the caller's
-// goroutine, and the hook holds the spawned others.
-func TestCloseWaitsForBatchGoroutines(t *testing.T) {
+// TestCloseRacesBatch pins what a batch sees when Close lands mid-flight:
+// with no goroutines to join, the batch must still return promptly, and
+// every slot must hold either ErrClientClosed or the transport error its
+// closed connection gave — never a hang, never a silent empty answer.
+// Batches after Close fail fast with ErrClientClosed in every slot.
+func TestCloseRacesBatch(t *testing.T) {
 	cl := startCluster(t, 4)
 	client, err := Dial("tcp", cl.Addrs()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	release := make(chan struct{})
-	var joins atomic.Int32
-	batchJoinHook = func() {
-		<-release
-		joins.Add(1)
+	paths := parsedTestPaths()
+	shards := map[int]bool{}
+	for _, p := range paths {
+		shards[cl.Routes().ShardFor(p)] = true
 	}
-	defer func() { batchJoinHook = nil }()
-
-	paths := make([]core.Path, len(testPaths))
-	for i, raw := range testPaths {
-		paths[i] = core.ParsePath(raw)
+	if len(shards) < 2 {
+		t.Fatalf("test paths span %d shards, want ≥2", len(shards))
 	}
-	if _, err := client.ResolveBatch(paths); err != nil {
+	if _, err := client.ResolveBatch(paths); err != nil { // dial every shard
 		t.Fatal(err)
 	}
 
-	closed := make(chan struct{})
+	want, err := client.ResolveBatch(paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Race Close against a stream of uncached batches. The first batch
+	// with a failed slot is the one Close caught in flight (or the first
+	// after it); every batch up to it must be correct slot by slot.
+	done := make(chan error, 1)
 	go func() {
-		client.Close()
-		close(closed)
+		for {
+			out, _ := client.ResolveBatch(paths)
+			failed := false
+			for i, r := range out {
+				switch {
+				case r.Err == nil && r.Entity != want[i].Entity:
+					done <- fmt.Errorf("slot %d = %v, want %v", i, r.Entity, want[i].Entity)
+					return
+				case r.Err == nil:
+				case !closedOrTransport(r.Err):
+					done <- fmt.Errorf("slot %d err = %v, want ErrClientClosed or a transport error", i, r.Err)
+					return
+				default:
+					failed = true
+				}
+			}
+			if failed {
+				done <- nil
+				return
+			}
+		}
 	}()
+	time.Sleep(5 * time.Millisecond)
+	client.Close()
+	closed := time.Now()
 	select {
-	case <-closed:
-		t.Fatal("Close returned while batch goroutines were still running")
-	case <-time.After(20 * time.Millisecond):
-	}
-	close(release)
-	select {
-	case <-closed:
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(closed); d > time.Second {
+			t.Fatalf("batch returned %v after Close", d)
+		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not return after batch goroutines finished")
-	}
-	if joins.Load() == 0 {
-		t.Fatal("no batch goroutines ran; the test exercised nothing")
+		t.Fatal("a batch racing Close did not return")
 	}
 
 	// After Close, batches fail fast with ErrClientClosed in every slot.
@@ -102,4 +127,21 @@ func TestCloseWaitsForBatchGoroutines(t *testing.T) {
 			t.Fatalf("slot %d err = %v, want ErrClientClosed", i, r.Err)
 		}
 	}
+}
+
+// closedOrTransport reports whether err is what a closing client may hand
+// a slot: either package's ErrClientClosed, or the transport error of a
+// connection closed under a call.
+func closedOrTransport(err error) bool {
+	var netErr net.Error
+	return errors.Is(err, ErrClientClosed) || errors.Is(err, nameserver.ErrClientClosed) ||
+		errors.As(err, &netErr) || errors.Is(err, io.EOF)
+}
+
+func parsedTestPaths() []core.Path {
+	paths := make([]core.Path, len(testPaths))
+	for i, raw := range testPaths {
+		paths[i] = core.ParsePath(raw)
+	}
+	return paths
 }

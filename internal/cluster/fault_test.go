@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -383,5 +385,68 @@ func TestCoalescedFailureSharedAndNotReused(t *testing.T) {
 	}
 	if _, misses := client.Stats(); misses != 2 {
 		t.Fatalf("misses = %d, want 2 (second call started its own flight)", misses)
+	}
+}
+
+// TestResolveBatchHungShardCostsOneTimeout pins the deadline bound of the
+// goroutine-free fan-out: ResolveBatch issues every shard's round-trip
+// before it collects any, so one hung shard costs about one call timeout
+// whether it is collected first or last — and the healthy shard's answer,
+// left unread while the hung shard was awaited, still resolves without a
+// failover. Each shard hangs in turn, in both slot orders.
+func TestResolveBatchHungShardCostsOneTimeout(t *testing.T) {
+	pUsr := core.ParsePath("usr/bin/ls")
+	pEtc := core.ParsePath("etc/motd")
+	const timeout = 500 * time.Millisecond // fastOpts' call timeout
+	for _, hung := range []core.Path{pUsr, pEtc} {
+		for _, order := range [][]core.Path{{pUsr, pEtc}, {pEtc, pUsr}} {
+			t.Run(fmt.Sprintf("hang %s, order %s %s", hung, order[0], order[1]), func(t *testing.T) {
+				cl := startReplicated(t, 2, 1)
+				client, err := Dial("tcp", cl.Addrs()[0], fastOpts(WithRetries(0))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer client.Close()
+				hungShard := cl.Routes().ShardFor(hung)
+				if cl.Routes().ShardFor(pUsr) == cl.Routes().ShardFor(pEtc) {
+					t.Fatal("test spec routed usr and etc to the same shard")
+				}
+				// Dial both shards first, so the hang catches an established
+				// connection mid-batch rather than a dial.
+				if _, err := client.ResolveBatch(order); err != nil {
+					t.Fatal(err)
+				}
+				cl.Fault(hungShard, 0).SetMode(faultnet.Hang)
+				defer cl.Fault(hungShard, 0).SetMode(faultnet.Pass)
+
+				failovers := client.Failovers()
+				start := time.Now()
+				out, err := client.ResolveBatch(order)
+				elapsed := time.Since(start)
+				if err != nil {
+					t.Fatalf("ResolveBatch = %v, want per-slot failure only", err)
+				}
+				for i, p := range order {
+					shard := cl.Routes().ShardFor(p)
+					if shard == hungShard {
+						var netErr net.Error
+						if !errors.As(out[i].Err, &netErr) || !netErr.Timeout() {
+							t.Fatalf("hung slot %d err = %v, want a timeout", i, out[i].Err)
+						}
+						continue
+					}
+					want, _ := cl.Trees[shard].Lookup(p)
+					if out[i].Err != nil || out[i].Entity != want {
+						t.Fatalf("healthy slot %d = %v, %v; want %v", i, out[i].Entity, out[i].Err, want)
+					}
+				}
+				if got := client.Failovers() - failovers; got != 1 {
+					t.Fatalf("failovers rose by %d, want 1 (the hung shard only)", got)
+				}
+				if limit := timeout * 3 / 2; elapsed > limit {
+					t.Fatalf("batch took %v, want ≤ %v (one call timeout, not one per shard)", elapsed, limit)
+				}
+			})
+		}
 	}
 }

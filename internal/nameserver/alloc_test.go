@@ -76,10 +76,9 @@ func TestAdmitRevisionAllocFree(t *testing.T) {
 	})
 }
 
-// TestCachedResolveAllocFloor pins the client's cache-hit path at one
-// allocation: the cache key (Path.String of a multi-component name).
-// Nothing crosses the wire on a hit, so send/lead stay idle and the floor
-// is the key build alone.
+// TestCachedResolveAllocFloor pins the client's cache-hit path at zero
+// allocations: the key is built in stack bytes and looked up without a
+// string. Nothing crosses the wire on a hit, so send/lead stay idle.
 func TestCachedResolveAllocFloor(t *testing.T) {
 	w, tr, f := exportedTree(t)
 	s := NewServer(w, tr.RootContext())
@@ -89,7 +88,7 @@ func TestCachedResolveAllocFloor(t *testing.T) {
 	if got, err := c.Resolve(p); err != nil || got != f {
 		t.Fatalf("prime Resolve = %v, %v", got, err)
 	}
-	allocFloor(t, "Resolve/cache-hit", 1, func() {
+	allocFloor(t, "Resolve/cache-hit", 0, func() {
 		if _, err := c.Resolve(p); err != nil {
 			t.Fatal(err)
 		}
@@ -97,12 +96,11 @@ func TestCachedResolveAllocFloor(t *testing.T) {
 }
 
 // TestRoundTripAllocFloor pins the full uncached round-trip — call
-// bookkeeping, send, the server worker pool, lead — at the measured
-// floor under the binary codec. The three remaining allocations are all
-// per-call bookkeeping (the pendingCall, its done channel, and the
-// canonical wire path the request retains until its response): encode
-// and decode themselves allocate nothing on either end. The gob floor
-// before this codec was 13; EXPERIMENTS.md records the trajectory.
+// bookkeeping, send, the server worker pool, lead — at zero allocations
+// under the binary codec: the call state, with its completion channel and
+// wire-path buffer, comes off the client's free list, and encode and
+// decode allocate nothing on either end. The gob floor before this codec
+// was 13; EXPERIMENTS.md records the trajectory.
 func TestRoundTripAllocFloor(t *testing.T) {
 	w, tr, f := exportedTree(t)
 	s := NewServer(w, tr.RootContext())
@@ -112,7 +110,7 @@ func TestRoundTripAllocFloor(t *testing.T) {
 	if got, err := c.Resolve(p); err != nil || got != f {
 		t.Fatalf("prime Resolve = %v, %v", got, err)
 	}
-	allocFloor(t, "Resolve/round-trip", 3, func() {
+	allocFloor(t, "Resolve/round-trip", 0, func() {
 		if _, err := c.Resolve(p); err != nil {
 			t.Fatal(err)
 		}

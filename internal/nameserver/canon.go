@@ -24,63 +24,69 @@ var ErrNotCanonical = errors.New("name is not wire-canonical")
 // so callers that only need the verdict (cache hits, routing checks) use
 // it instead of CanonicalWirePath.
 func CheckWirePath(p core.Path) error {
-	if !p.IsValid() {
-		//namingvet:allocfree-exempt -- cold: a rejected name formats its error
-		return fmt.Errorf("path %q: %w", p.String(), ErrNotCanonical)
-	}
+	// IndexByte, not Contains: this runs for every name a client resolves,
+	// cache hits included.
 	for _, n := range p {
-		if strings.Contains(string(n), core.Separator) {
+		if strings.IndexByte(string(n), core.Separator[0]) >= 0 {
 			//namingvet:allocfree-exempt -- cold: a rejected name formats its error
 			return fmt.Errorf("component %q of %q contains %q: %w",
 				string(n), p.String(), core.Separator, ErrNotCanonical)
 		}
 	}
+	if !p.IsValid() {
+		//namingvet:allocfree-exempt -- cold: a rejected name formats its error
+		return fmt.Errorf("path %q: %w", p.String(), ErrNotCanonical)
+	}
 	return nil
 }
 
-// CanonicalWirePath converts p to its canonical wire form, rejecting
+// CanonicalWirePath appends p's canonical wire form to dst, rejecting
 // names that cannot round-trip coherently. Every value stored in a wire
-// request's Path field must come from here (wirecanon enforces it).
+// request's Path field must come from here (wirecanon enforces it). The
+// append form lets a caller reuse one buffer across round-trips; pass nil
+// for a fresh slice.
 //
 //namingvet:canonicalizer
-func CanonicalWirePath(p core.Path) ([]string, error) {
+func CanonicalWirePath(dst []string, p core.Path) ([]string, error) {
 	if err := CheckWirePath(p); err != nil {
-		return nil, err
+		return dst, err
 	}
-	//namingvet:allocfree-exempt -- the name's wire form: one copy per round-trip that carries it
-	raw := make([]string, len(p))
-	for i, n := range p {
-		raw[i] = string(n)
+	for _, n := range p {
+		dst = append(dst, string(n))
 	}
-	return raw, nil
+	return dst, nil
 }
 
-// canonicalWirePaths converts a batch, rejecting the whole batch on the
-// first non-canonical path: a batch is one message, and a message with
-// one incoherent name in it is an incoherent message. Every path's wire
-// form is a window of one shared backing array, so a batch costs two
-// allocations however many names it carries.
+// canonicalWirePaths appends a batch's wire form: one header per path to
+// hdrs, each a window of flat, which holds every name's components end to
+// end. The whole batch is rejected on the first non-canonical path: a
+// batch is one message, and a message with one incoherent name in it is an
+// incoherent message. The headers come first among the results because
+// they are what the request carries; flat is returned so the caller keeps
+// the grown buffer.
 //
 //namingvet:canonicalizer
-func canonicalWirePaths(paths []core.Path) ([][]string, error) {
+func canonicalWirePaths(hdrs [][]string, flat []string, paths []core.Path) ([][]string, []string, error) {
 	total := 0
 	for _, p := range paths {
 		if err := CheckWirePath(p); err != nil {
-			return nil, err
+			return hdrs, flat, err
 		}
 		total += len(p)
 	}
-	//namingvet:allocfree-exempt -- the batch's wire form: one backing array for every name
-	flat := make([]string, total)
-	//namingvet:allocfree-exempt -- the batch's wire form: one header per name, windows of flat
-	raws := make([][]string, len(paths))
-	for k, p := range paths {
-		raw := flat[:len(p):len(p)]
-		flat = flat[len(p):]
+	if cap(flat) < total {
+		//namingvet:allocfree-exempt -- amortized: a call state's wire buffer grows to its high-water mark once
+		flat = make([]string, 0, total)
+	}
+	flat = flat[:total]
+	rest := flat
+	for _, p := range paths {
+		raw := rest[:len(p):len(p)]
+		rest = rest[len(p):]
 		for i, n := range p {
 			raw[i] = string(n)
 		}
-		raws[k] = raw
+		hdrs = append(hdrs, raw)
 	}
-	return raws, nil
+	return hdrs, flat, nil
 }

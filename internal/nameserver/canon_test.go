@@ -12,8 +12,14 @@ import (
 )
 
 func TestCanonicalWirePath(t *testing.T) {
-	if _, err := CanonicalWirePath(core.ParsePath("usr/bin/ls")); err != nil {
+	if _, err := CanonicalWirePath(nil, core.ParsePath("usr/bin/ls")); err != nil {
 		t.Fatalf("valid path rejected: %v", err)
+	}
+	// The append form fills the caller's buffer in place.
+	buf := make([]string, 0, 4)
+	raw, err := CanonicalWirePath(buf, core.ParsePath("usr/bin/ls"))
+	if err != nil || strings.Join(raw, "|") != "usr|bin|ls" || &raw[0] != &buf[:1][0] {
+		t.Fatalf("CanonicalWirePath(buf, usr/bin/ls) = %q, %v; want usr|bin|ls in buf", raw, err)
 	}
 	bad := []core.Path{
 		{},                // empty: names the peer's export root, whatever that is
@@ -22,7 +28,7 @@ func TestCanonicalWirePath(t *testing.T) {
 		{"usr/bin", "ls"}, // ditto, first component
 	}
 	for _, p := range bad {
-		if _, err := CanonicalWirePath(p); !errors.Is(err, ErrNotCanonical) {
+		if _, err := CanonicalWirePath(nil, p); !errors.Is(err, ErrNotCanonical) {
 			t.Fatalf("CanonicalWirePath(%q) err = %v, want ErrNotCanonical", p, err)
 		}
 	}

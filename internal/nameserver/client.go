@@ -35,13 +35,51 @@ var ErrClientClosed = errors.New("nameserver: client closed")
 // one. With a per-call timeout configured the write bound tightens to it.
 const clientWriteTimeout = time.Minute
 
-// pendingCall is one in-flight request, parked in the pending table until
-// a reader delivers the response tagged with its ID.
+// pendingCall is one round-trip's state, parked in the pending table
+// until a reader delivers the response tagged with its ID. Call states
+// are reused: release returns one to its client's free list with every
+// buffer kept, so a warm client's round-trip allocates nothing of its own.
 type pendingCall struct {
 	req  request
 	resp response
 	err  error
-	done chan struct{} // closed exactly once, by whoever removes the call from pending
+	// done carries one completion signal per use, sent by whoever removes
+	// the call from pending. Every path through issue and collect consumes
+	// it before the state is released, so no signal outlives its use.
+	done     chan struct{}
+	deadline time.Time // the call's expiry; zero without a call timeout
+	// timer bounds contended waits under a call timeout (nil without one).
+	// armed: Reset during this use; fired: its tick was received.
+	timer        *time.Timer
+	armed, fired bool
+	wire         []string     // backing array of req.Path, or of req.Paths' windows
+	hdrs         [][]string   // req.Paths' headers
+	results      []result     // resp.Results' backing array
+	next         *pendingCall // free-list link; guarded by the client's pmu
+}
+
+// arm resets pc's timer to fire at deadline and returns its channel. Only
+// contended waits arm it, so the serial case never touches the runtime
+// timer.
+func (pc *pendingCall) arm(deadline time.Time) <-chan time.Time {
+	pc.stopTimer()
+	pc.timer.Reset(time.Until(deadline))
+	pc.armed = true
+	return pc.timer.C
+}
+
+// stopTimer disarms pc's timer and drains a tick nobody received, so the
+// next Reset starts clean. go.mod's language version keeps the pre-1.23
+// timer channel: a tick may already sit in the channel — or be on its way
+// — when Stop reports false, so the drain blocks for it rather than poll.
+func (pc *pendingCall) stopTimer() {
+	if !pc.armed {
+		return
+	}
+	if !pc.timer.Stop() && !pc.fired {
+		<-pc.timer.C
+	}
+	pc.armed, pc.fired = false, false
 }
 
 // Client is a connection to a name server with an optional resolution
@@ -84,6 +122,7 @@ type Client struct {
 	// pmu guards the multiplexing table only; never held across I/O.
 	pmu     sync.Mutex
 	pending map[uint64]*pendingCall
+	free    *pendingCall // released call states, linked through next
 	nextID  uint64
 	broken  error // sticky: once the stream is unusable, new calls fail fast
 
@@ -313,7 +352,8 @@ func (c *Client) send(pc *pendingCall) error {
 }
 
 // lead decodes responses while holding the read token, dispatching each
-// to the call wearing its tag, until pc completes or the stream dies.
+// to the call wearing its tag, until pc's completion is signalled or the
+// stream dies. It leaves the signal for its caller to consume.
 // With no deadline an idle read blocks until the server speaks; Close
 // unblocks it by closing the conn (conndeadline's idle-loop exemption
 // knows this). With a per-call timeout the leader cannot select on its
@@ -334,12 +374,7 @@ func (c *Client) lead(pc *pendingCall, deadline time.Time) {
 	if !deadline.IsZero() {
 		_ = c.conn.SetReadDeadline(deadline)
 	}
-	for {
-		select {
-		case <-pc.done:
-			return
-		default:
-		}
+	for len(pc.done) == 0 {
 		if c.codec == CodecBinary {
 			if err := c.readOneBinary(); err != nil {
 				c.fail(recvFailure(err))
@@ -389,10 +424,10 @@ func (c *Client) readOneBinary() error {
 				// pc is already out of the table, so fail cannot strand
 				// it: deliver the verdict here, then kill the stream.
 				pc.err = err
-				close(pc.done)
+				pc.done <- struct{}{}
 				return err
 			}
-			close(pc.done)
+			pc.done <- struct{}{}
 			return nil
 		}
 	}
@@ -451,7 +486,7 @@ func (c *Client) dispatch(resp *response) {
 		return
 	}
 	pc.resp = *resp
-	close(pc.done)
+	pc.done <- struct{}{}
 }
 
 // fail poisons the client with err: every pending call fails now, future
@@ -474,7 +509,7 @@ func (c *Client) fail(err error) {
 	c.pmu.Unlock()
 	for _, pc := range stranded {
 		pc.err = err
-		close(pc.done)
+		pc.done <- struct{}{}
 	}
 	_ = c.conn.Close()
 }
@@ -501,50 +536,77 @@ func reqLabel(req *request) string {
 	}
 }
 
-// call runs one tagged round-trip: register the call in the pending
-// table, write the request ourselves under the write token, then wait for
-// a reader to deliver the response wearing its tag — becoming that reader
-// when no one else is leading. With a timeout configured the call is
-// bounded everywhere: a timer covers the waits the caller can select on,
-// and the connection's read deadline covers the leader's blocking decode
-// (see lead and WithTimeout).
-func (c *Client) call(req request) (response, error) {
-	//namingvet:allocfree-exempt -- per-call state: the pending table holds it until a reader delivers the response
-	pc := &pendingCall{req: req, done: make(chan struct{})}
+// takeCall returns a spare call state from the free list, or a new one.
+func (c *Client) takeCall() *pendingCall {
+	c.pmu.Lock()
+	pc := c.free
+	if pc != nil {
+		c.free = pc.next
+		pc.next = nil
+	}
+	c.pmu.Unlock()
+	if pc == nil {
+		pc = c.newCall()
+	}
+	return pc
+}
+
+// newCall builds a call state. Its channel and timer live as long as it.
+//
+//namingvet:allocfree-exempt -- amortized: one call state per concurrently outstanding call, then reused
+func (c *Client) newCall() *pendingCall {
+	pc := &pendingCall{done: make(chan struct{}, 1)}
+	if c.timeout > 0 {
+		pc.timer = time.NewTimer(c.timeout)
+		pc.timer.Stop()
+	}
+	return pc
+}
+
+// maxPooledNames bounds the batch buffers a released call state keeps: an
+// outsized batch's buffers are left to the collector rather than pinned.
+const maxPooledNames = 1024
+
+// release returns pc to the free list. The caller has consumed pc's
+// completion signal, so pc is out of the pending table and nobody else
+// holds it, and has copied out whatever of the response it keeps.
+func (c *Client) release(pc *pendingCall) {
+	pc.stopTimer()
+	if r := pc.resp.Results; cap(r) > cap(pc.results) {
+		pc.results = r
+	}
+	if cap(pc.results) > maxPooledNames {
+		pc.results = nil
+	}
+	if cap(pc.hdrs) > maxPooledNames {
+		pc.hdrs, pc.wire = nil, nil
+	}
+	pc.req, pc.err = request{}, nil
+	pc.resp = response{Results: pc.results[:0]}
+	c.pmu.Lock()
+	pc.next = c.free
+	c.free = pc
+	c.pmu.Unlock()
+}
+
+// issue tags pc's request, registers it in the pending table and writes
+// it under the write token. On nil the call is in flight and collect must
+// follow; on error the call is over — its completion signal, if one was
+// sent, consumed — and the caller releases pc.
+func (c *Client) issue(pc *pendingCall) error {
 	c.pmu.Lock()
 	if c.broken != nil {
 		err := c.broken
 		c.pmu.Unlock()
-		//namingvet:allocfree-exempt -- cold: a call on a dead client formats its error
-		return response{}, fmt.Errorf("%s: %w", reqLabel(&pc.req), err)
+		return c.failed(pc, err)
 	}
 	c.nextID++
 	pc.req.ID = c.nextID
 	c.pending[pc.req.ID] = pc
 	c.pmu.Unlock()
-
-	// The timer is created lazily, on the first wait that actually needs
-	// to select on it: the uncontended paths — write token free, caller
-	// leads its own read — never do, and the serial case skips the
-	// allocation entirely.
-	var deadline time.Time
-	var timer *time.Timer
-	var timeoutC <-chan time.Time
 	if c.timeout > 0 {
-		deadline = time.Now().Add(c.timeout)
+		pc.deadline = time.Now().Add(c.timeout)
 	}
-	arm := func() {
-		if timer == nil && c.timeout > 0 {
-			//namingvet:allocfree-exempt -- a contended wait under a call timeout needs a timer; uncontended calls arm none
-			timer = time.NewTimer(time.Until(deadline))
-			timeoutC = timer.C
-		}
-	}
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
 
 	c.wq.Add(1)
 	select {
@@ -555,69 +617,126 @@ func (c *Client) call(req request) (response, error) {
 			// Token holders always release within the write bound, so a
 			// plain send cannot hang; failure surfaces when our write runs.
 			c.wtoken <- struct{}{}
-		} else {
-			arm()
-			select {
-			case c.wtoken <- struct{}{}:
-			case <-pc.done:
-				// The client failed before we could write.
-				c.wq.Add(-1)
-				return c.finish(pc)
-			case <-timeoutC:
-				c.wq.Add(-1)
-				return c.expire(pc)
-			}
+			break
+		}
+		// Until the request is written only fail can take the call out of
+		// the table, so both early exits below report an error.
+		select {
+		case c.wtoken <- struct{}{}:
+		case <-pc.done:
+			// The client failed before we could write.
+			c.wq.Add(-1)
+			return c.failed(pc, pc.err)
+		case <-pc.arm(pc.deadline):
+			pc.fired = true
+			c.wq.Add(-1)
+			return c.expire(pc)
 		}
 	}
 	if err := c.send(pc); err != nil {
 		//namingvet:allocfree-exempt -- cold: a failed write poisons the client
-		c.fail(fmt.Errorf("send request: %w", err))
-		return c.finish(pc)
+		err = fmt.Errorf("send request: %w", err)
+		c.fail(err)
+		// fail emptied the pending table, so pc's signal is sent or on its
+		// way: consume it, or the state's next use would see it.
+		<-pc.done
+		if pc.err != nil {
+			err = pc.err
+		}
+		return c.failed(pc, err)
 	}
+	return nil
+}
 
-	// Fast path: the read token is usually free in the serial case — lead
-	// immediately. lead only returns once our call has completed.
+// collectGraceDiv sets the least time a call gets to be read once its
+// caller starts collecting it: the call timeout divided by this. A caller
+// that issues several calls before collecting any (a batch fanned out
+// across shards) may reach one only after its deadline passed while it
+// waited on another; its answer is likely buffered by then, and the grace
+// lets the read take it instead of failing a healthy replica unread.
+const collectGraceDiv = 8
+
+// collect waits for an issued call's response: it leads the read itself
+// when no one else is leading, else parks until a reader delivers the
+// response wearing its tag, taking over the lead if it frees up. With a
+// call timeout the wait is bounded everywhere: the call's timer covers
+// the waits it can select on, and the connection's read deadline covers
+// the leader's blocking decode (see lead and WithTimeout).
+func (c *Client) collect(pc *pendingCall) error {
+	deadline := pc.deadline
+	if c.timeout > 0 {
+		if floor := time.Now().Add(c.timeout / collectGraceDiv); deadline.Before(floor) {
+			deadline = floor
+		}
+	}
+	// Fast path: the read token is usually free in the serial case.
 	select {
 	case c.rtoken <- struct{}{}:
-		c.lead(pc, deadline)
-		<-c.rtoken
-		return c.finish(pc)
+		return c.leadFor(pc, deadline)
 	default:
 	}
-	if c.timeout == 0 {
-		for {
-			select {
-			case <-pc.done:
-				return c.finish(pc)
-			case c.rtoken <- struct{}{}:
-				c.lead(pc, deadline)
-				<-c.rtoken
-				return c.finish(pc)
-			}
-		}
+	var timeoutC <-chan time.Time // nil, so never ready, without a call timeout
+	if c.timeout > 0 {
+		timeoutC = pc.arm(deadline)
 	}
-	arm()
-	for {
-		select {
-		case <-pc.done:
-			return c.finish(pc)
-		case c.rtoken <- struct{}{}:
-			c.lead(pc, deadline)
-			<-c.rtoken
-			return c.finish(pc)
-		case <-timeoutC:
-			return c.expire(pc)
-		}
+	select {
+	case <-pc.done:
+		return c.verdict(pc)
+	case c.rtoken <- struct{}{}:
+		return c.leadFor(pc, deadline)
+	case <-timeoutC:
+		pc.fired = true
+		return c.expire(pc)
 	}
 }
 
-// finish unpacks a delivered call.
-func (c *Client) finish(pc *pendingCall) (response, error) {
+// leadFor leads the read, holding the token it was handed, until pc
+// completes, then consumes pc's signal: delivered by this leader, or — if
+// the stream died — by whoever emptied the table.
+func (c *Client) leadFor(pc *pendingCall, deadline time.Time) error {
+	c.lead(pc, deadline)
+	<-c.rtoken
+	<-pc.done
+	return c.verdict(pc)
+}
+
+// verdict reports how a completed call went.
+func (c *Client) verdict(pc *pendingCall) error {
 	if pc.err != nil {
-		//namingvet:allocfree-exempt -- cold: a failed call formats its error
-		return response{}, fmt.Errorf("%s: %w", reqLabel(&pc.req), pc.err)
+		return c.failed(pc, pc.err)
 	}
-	return pc.resp, nil
+	return nil
+}
+
+// failed labels a call's failure with its request.
+//
+//namingvet:allocfree-exempt -- cold: a failed call formats its error
+func (c *Client) failed(pc *pendingCall, err error) error {
+	return fmt.Errorf("%s: %w", reqLabel(&pc.req), err)
+}
+
+// roundTrip issues pc's request and collects its response, then releases
+// pc. The response's Results still belong to the call state, so callers
+// must not read them; batches go through BatchCall.Collect, which copies
+// them out before release.
+func (c *Client) roundTrip(pc *pendingCall) (response, error) {
+	err := c.issue(pc)
+	if err == nil {
+		err = c.collect(pc)
+	}
+	resp := pc.resp
+	c.release(pc)
+	if err != nil {
+		return response{}, err
+	}
+	return resp, nil
+}
+
+// call runs one tagged round-trip for req.
+func (c *Client) call(req request) (response, error) {
+	pc := c.takeCall()
+	pc.req = req
+	return c.roundTrip(pc)
 }
 
 // expire abandons pc after its per-call timer fired. If the response beat
@@ -628,7 +747,7 @@ func (c *Client) finish(pc *pendingCall) (response, error) {
 // and the only safe sequel is a fresh connection.
 //
 //namingvet:allocfree-exempt -- cold: only a call that timed out gets here
-func (c *Client) expire(pc *pendingCall) (response, error) {
+func (c *Client) expire(pc *pendingCall) error {
 	c.pmu.Lock()
 	_, waiting := c.pending[pc.req.ID]
 	if waiting {
@@ -640,11 +759,11 @@ func (c *Client) expire(pc *pendingCall) (response, error) {
 	c.pmu.Unlock()
 	if !waiting {
 		// The reader (or fail) already took the call out of the table and
-		// owns closing done; wait for its verdict.
+		// owns signalling it; wait for its verdict.
 		<-pc.done
-		return c.finish(pc)
+		return c.verdict(pc)
 	}
-	return response{}, fmt.Errorf("%s: %w", reqLabel(&pc.req), os.ErrDeadlineExceeded)
+	return c.failed(pc, os.ErrDeadlineExceeded)
 }
 
 // admitRevision applies the coherent-cache rule to a response's revision
@@ -683,30 +802,27 @@ func (c *Client) admitRevision(rev uint64) bool {
 // that are not wire-canonical fail client-side with ErrNotCanonical
 // before anything crosses the wire.
 //
-// A cache hit validates the name but does not build its wire form: the
-// canonical []string is only materialized once the resolution actually
-// has to cross the wire, so the hit path pays for the cache key and
-// nothing else.
+// A hit is looked up by the key's bytes, built on the stack, and the
+// name's wire form is only built — in the call state's reused buffer —
+// once the resolution has to cross the wire; the key string is made only
+// when a fetched entity is cached.
 func (c *Client) Resolve(p core.Path) (core.Entity, error) {
 	if err := CheckWirePath(p); err != nil {
 		return core.Undefined, err
 	}
-	var key string
+	var buf [keyBufSize]byte
+	var kb []byte
 	if c.cache != nil {
-		key = p.String()
+		kb = p.AppendString(buf[:0])
 		c.mu.Lock()
-		if e, ok := c.cache.Get(key); ok {
+		if e, ok := lru.GetBytes(c.cache, kb); ok {
 			c.hits++
 			c.mu.Unlock()
 			return e, nil
 		}
 		c.mu.Unlock()
 	}
-	// Already validated above; the error cannot recur.
-	raw, _ := CanonicalWirePath(p)
-
-	req := request{Path: raw}
-	resp, err := c.call(req)
+	resp, err := c.resolveWire(p)
 	if err != nil {
 		return core.Undefined, err
 	}
@@ -724,22 +840,35 @@ func (c *Client) Resolve(p core.Path) (core.Entity, error) {
 	// transport or remote failure is not a cache miss served.
 	c.misses++
 	if c.admitRevision(resp.Rev) && c.cache != nil {
-		c.cache.Put(key, e)
+		c.cache.Put(string(kb), e)
 	}
 	c.mu.Unlock()
 	return e, nil
+}
+
+// keyBufSize is the stack buffer Resolve builds a cache key in; longer
+// names spill to the heap.
+const keyBufSize = 128
+
+// resolveWire runs one single-name round-trip, building the name's wire
+// form in the call state's own buffer.
+func (c *Client) resolveWire(p core.Path) (response, error) {
+	pc := c.takeCall()
+	raw, err := CanonicalWirePath(pc.wire[:0], p)
+	if err != nil {
+		c.release(pc)
+		return response{}, err
+	}
+	pc.wire = raw
+	pc.req = request{Path: raw}
+	return c.roundTrip(pc)
 }
 
 // ResolveRev resolves p at the server, bypassing the client's own cache,
 // and returns the binding revision the response carried. Cluster clients
 // use it to drive a revision-tracked cache that spans many connections.
 func (c *Client) ResolveRev(p core.Path) (core.Entity, uint64, error) {
-	raw, err := CanonicalWirePath(p)
-	if err != nil {
-		return core.Undefined, 0, err
-	}
-	req := request{Path: raw}
-	resp, err := c.call(req)
+	resp, err := c.resolveWire(p)
 	if err != nil {
 		return core.Undefined, 0, err
 	}
@@ -750,36 +879,77 @@ func (c *Client) ResolveRev(p core.Path) (core.Entity, uint64, error) {
 	return core.Entity{ID: core.EntityID(resp.Ent), Kind: core.Kind(resp.Kind)}, resp.Rev, nil
 }
 
+// BatchCall is a batched resolution that IssueBatch has sent and Collect
+// has not yet received. Issuing several before collecting any lets one
+// goroutine keep a round-trip in flight on each of several connections.
+type BatchCall struct {
+	c  *Client
+	pc *pendingCall
+}
+
+// IssueBatch sends every path as one wire batch and returns without
+// waiting for the answer. The names' wire form is built in a reused call
+// state. On success the batch is in flight and Collect must follow
+// exactly once; on error nothing is in flight.
+func (c *Client) IssueBatch(paths []core.Path) (BatchCall, error) {
+	pc := c.takeCall()
+	hdrs, flat, err := canonicalWirePaths(pc.hdrs[:0], pc.wire[:0], paths)
+	if err != nil {
+		c.release(pc)
+		return BatchCall{}, err
+	}
+	pc.hdrs, pc.wire = hdrs, flat
+	pc.req = request{Paths: hdrs}
+	if err := c.issue(pc); err != nil {
+		c.release(pc)
+		return BatchCall{}, err
+	}
+	return BatchCall{c: c, pc: pc}, nil
+}
+
+// Collect waits for the batch's answer, appends one result per path to
+// dst in argument order, and returns the batch's binding revision;
+// per-name failures are in the results. On error dst comes back as
+// passed. Collect releases the call: b must not be used again.
+func (b BatchCall) Collect(dst []BatchResult) ([]BatchResult, uint64, error) {
+	c, pc := b.c, b.pc
+	defer c.release(pc)
+	if err := c.collect(pc); err != nil {
+		return dst, 0, err
+	}
+	if got, want := len(pc.resp.Results), len(pc.req.Paths); got != want {
+		//namingvet:allocfree-exempt -- cold: a malformed response formats its error
+		return dst, 0, fmt.Errorf("resolve batch: got %d results for %d paths", got, want)
+	}
+	// The results are copied out here, before release: only this path may
+	// leave the backing array with the call state for its next use.
+	for _, res := range pc.resp.Results {
+		if res.Err != "" {
+			dst = append(dst, BatchResult{Entity: core.Undefined, Err: &RemoteError{Msg: res.Err}})
+			continue
+		}
+		dst = append(dst, BatchResult{Entity: core.Entity{ID: core.EntityID(res.ID), Kind: core.Kind(res.Kind)}})
+	}
+	return dst, pc.resp.Rev, nil
+}
+
 // ResolveBatchRev resolves every path in one round-trip, bypassing the
 // client's own cache, and returns the batch's binding revision. Results
 // are in argument order; per-name failures are in the results.
 //
 //namingvet:allocfree
 func (c *Client) ResolveBatchRev(paths []core.Path) ([]BatchResult, uint64, error) {
-	raws, err := canonicalWirePaths(paths)
+	call, err := c.IssueBatch(paths)
 	if err != nil {
 		return nil, 0, err
-	}
-	req := request{Paths: raws}
-	resp, err := c.call(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(resp.Results) != len(paths) {
-		//namingvet:allocfree-exempt -- cold: a malformed response formats its error
-		return nil, 0, fmt.Errorf("resolve batch: got %d results for %d paths", len(resp.Results), len(paths))
 	}
 	//namingvet:allocfree-exempt -- the result slice is handed to the caller
-	out := make([]BatchResult, len(paths))
-	for k, res := range resp.Results {
-		if res.Err != "" {
-			//namingvet:allocfree-exempt -- cold: a name that does not resolve carries its error
-			out[k] = BatchResult{Entity: core.Undefined, Err: &RemoteError{Msg: res.Err}}
-			continue
-		}
-		out[k] = BatchResult{Entity: core.Entity{ID: core.EntityID(res.ID), Kind: core.Kind(res.Kind)}}
+	out := make([]BatchResult, 0, len(paths))
+	out, rev, err := call.Collect(out)
+	if err != nil {
+		return nil, 0, err
 	}
-	return out, resp.Rev, nil
+	return out, rev, nil
 }
 
 // BatchResult is one outcome of a batched resolution.
@@ -805,6 +975,7 @@ func (c *Client) ResolveBatch(paths []core.Path) ([]BatchResult, error) {
 	// cache or the wire — a bad name must not become a cache key.
 	need := make(map[string][]int)
 	var order []string
+	var uniq []core.Path
 	c.mu.Lock()
 	for i, p := range paths {
 		if err := CheckWirePath(p); err != nil {
@@ -821,6 +992,7 @@ func (c *Client) ResolveBatch(paths []core.Path) ([]BatchResult, error) {
 		}
 		if _, seen := need[key]; !seen {
 			order = append(order, key)
+			uniq = append(uniq, p)
 		}
 		need[key] = append(need[key], i)
 	}
@@ -829,34 +1001,19 @@ func (c *Client) ResolveBatch(paths []core.Path) ([]BatchResult, error) {
 		return out, nil
 	}
 
-	req := request{Paths: make([][]string, len(order))}
-	for k, key := range order {
-		// Already validated above; the error cannot recur.
-		raw, _ := CanonicalWirePath(paths[need[key][0]])
-		req.Paths[k] = raw
-	}
-	resp, err := c.call(req)
+	results, rev, err := c.ResolveBatchRev(uniq)
 	if err != nil {
 		return nil, err
 	}
-	if len(resp.Results) != len(order) {
-		return nil, fmt.Errorf("resolve batch: got %d results for %d paths", len(resp.Results), len(order))
-	}
 	c.mu.Lock()
-	fresh := c.admitRevision(resp.Rev)
-	for k, res := range resp.Results {
-		var br BatchResult
-		if res.Err != "" {
-			br = BatchResult{Entity: core.Undefined, Err: &RemoteError{Msg: res.Err}}
-		} else {
-			br = BatchResult{Entity: core.Entity{ID: core.EntityID(res.ID), Kind: core.Kind(res.Kind)}}
-			if fresh && c.cache != nil {
-				c.cache.Put(order[k], br.Entity)
-			}
+	fresh := c.admitRevision(rev)
+	for k, br := range results {
+		if br.Err == nil && fresh && c.cache != nil {
+			c.cache.Put(order[k], br.Entity)
 		}
 		for _, i := range need[order[k]] {
 			out[i] = br
-			if res.Err == "" {
+			if br.Err == nil {
 				// Misses count per slot (duplicates included) and only for
 				// slots an uncached resolution actually satisfied.
 				c.misses++

@@ -80,7 +80,7 @@ func mutationRequest(op uint8, dir core.Path, name core.Name) (request, error) {
 	var raw []string
 	if len(dir) > 0 {
 		var err error
-		raw, err = CanonicalWirePath(dir)
+		raw, err = CanonicalWirePath(nil, dir)
 		if err != nil {
 			return request{}, err
 		}

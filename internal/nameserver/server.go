@@ -76,14 +76,18 @@ type Server struct {
 	// is torn-proof by construction.
 	wmu sync.Mutex
 
+	// rev is the binding revision. It is read without a lock but stored
+	// only under mu, beside the subscriber notify, so the revision stays
+	// monotonic and pushes leave in revision order.
+	rev      atomic.Uint64
+	served   atomic.Int64
+	resolved atomic.Int64
+
 	mu       sync.Mutex
 	listener net.Listener
 	conns    map[net.Conn]struct{}
 	subs     map[*connState]struct{} // connections subscribed for push invalidation
 	closed   bool
-	served   int
-	resolved int
-	rev      uint64
 	routes   *RouteInfo
 	// onMutation, when set, is called under wmu after each locally
 	// originated mutation commits — in commit order, which is what a
@@ -415,7 +419,7 @@ func (s *Server) serveRequests(st *connState) {
 			// the current revision so the client starts from a known point.
 			s.mu.Lock()
 			s.subs[st] = struct{}{}
-			resp = response{Rev: s.rev}
+			resp = response{Rev: s.rev.Load()}
 			s.mu.Unlock()
 		} else {
 			resp = s.handle(&sc)
@@ -425,10 +429,8 @@ func (s *Server) serveRequests(st *connState) {
 		if sc.req.Paths == nil && !sc.req.Routes {
 			names = 1
 		}
-		s.mu.Lock()
-		s.served++
-		s.resolved += names
-		s.mu.Unlock()
+		s.served.Add(1)
+		s.resolved.Add(int64(names))
 		s.respond(st, &resp)
 	}
 }
@@ -564,8 +566,7 @@ func (s *Server) resolveOne(scratch *core.Path, raw []string) result {
 func (s *Server) Bump() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.rev++
-	s.notifyLocked(s.rev)
+	s.notifyLocked(s.rev.Add(1))
 }
 
 // notifyLocked offers rev to every subscribed connection's pusher.
@@ -578,9 +579,7 @@ func (s *Server) notifyLocked(rev uint64) {
 
 // Revision returns the current binding revision.
 func (s *Server) Revision() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rev
+	return s.rev.Load()
 }
 
 // SetRevision advances the binding revision to at least rev. Recovery
@@ -595,9 +594,9 @@ func (s *Server) Revision() uint64 {
 func (s *Server) SetRevision(rev uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if rev > s.rev {
-		s.rev = rev
-		s.notifyLocked(s.rev)
+	if rev > s.rev.Load() {
+		s.rev.Store(rev)
+		s.notifyLocked(rev)
 	}
 }
 
@@ -650,17 +649,13 @@ func (s *Server) exportWatch(_ core.Name, e core.Entity) {
 // Served returns the number of wire requests handled so far (a batch
 // counts once — that is the point of batching).
 func (s *Server) Served() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.served
+	return int(s.served.Load())
 }
 
 // Resolved returns the number of names resolved so far (every element of a
 // batch counts).
 func (s *Server) Resolved() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.resolved
+	return int(s.resolved.Load())
 }
 
 // Close stops the listener, closes active connections, and waits for
