@@ -83,13 +83,7 @@ func run(args []string) error {
 	dataDir := fs.String("data", "", "durable snapshot directory (enables crash recovery)")
 	snapInterval := fs.Duration("snap-interval", 10*time.Second,
 		"periodic snapshot interval with -data (0 disables periodic snapshots)")
-	codecName := fs.String("codec", "binary",
-		"wire codec policy: binary (negotiate, gob fallback) or gob (pin the legacy codec)")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	codec, err := nameserver.ParseCodec(*codecName)
-	if err != nil {
 		return err
 	}
 	if *shards < 1 {
@@ -129,7 +123,7 @@ func run(args []string) error {
 	}
 
 	if *shards > 1 || *replicas > 1 {
-		return runSharded(w, spec, *shards, *replicas, *readonly, codec, st, keeper, interrupt)
+		return runSharded(w, spec, *shards, *replicas, *readonly, st, keeper, interrupt)
 	}
 
 	// Single-server mode: recover the tree from the store when it holds a
@@ -170,7 +164,7 @@ func run(args []string) error {
 		}
 	}
 
-	srvOpts := []nameserver.ServerOption{nameserver.WithServerCodec(codec)}
+	var srvOpts []nameserver.ServerOption
 	if *readonly {
 		srvOpts = append(srvOpts, nameserver.WithReadOnly())
 	}
@@ -229,9 +223,9 @@ func run(args []string) error {
 // runSharded serves the spec from a prefix-partitioned, optionally
 // replicated cluster and prints the routing table clients bootstrap from.
 func runSharded(w *core.World, spec string, shards, replicas int, readonly bool,
-	codec nameserver.Codec, st *snapstore.Store, keeper *snapstore.Keeper,
+	st *snapstore.Store, keeper *snapstore.Keeper,
 	interrupt chan os.Signal) error {
-	opts := []cluster.Option{cluster.WithServerOptions(nameserver.WithServerCodec(codec))}
+	var opts []cluster.Option
 	if st != nil {
 		opts = append(opts, cluster.WithSnapStore(st))
 	}

@@ -11,8 +11,8 @@
 // Cold branches are carved out with //namingvet:allocfree-exempt: on a
 // function's doc comment the whole body is off the steady path (error
 // teardown, reconnect); on or above a line it covers just that line
-// (the gob Encode call that PR 9's binary codec will replace, an error
-// return constructing its message). Exemptions are deliberate and
+// (a scratch buffer growing to its high-water mark, an error return
+// constructing its message). Exemptions are deliberate and
 // grep-able — unlike //namingvet:ignore, they are part of the discipline,
 // not a suppression of it.
 //

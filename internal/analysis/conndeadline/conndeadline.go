@@ -1,7 +1,7 @@
 // Package conndeadline enforces the transport-deadline invariant of the
 // fault-tolerant cluster (DESIGN §3a): inside internal/cluster and
-// internal/nameserver, every net.Conn read/write — including the gob
-// encode/decode calls that carry the wire protocol — must be preceded by a
+// internal/nameserver, every net.Conn read/write — including those that
+// carry the wire protocol's frames — must be preceded by a
 // SetDeadline/SetReadDeadline/SetWriteDeadline call, and raw net.Dial is
 // forbidden in favor of net.DialTimeout (or DialContext). An unbounded
 // round-trip against a hung replica turns one wedged server into a wedged

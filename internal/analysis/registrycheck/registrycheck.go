@@ -1,20 +1,19 @@
-// Package registrycheck keeps the gob wire registry exhaustive. The
+// Package registrycheck keeps the wire registry exhaustive. The
 // nameserver's wire.go declares a wireTypes map naming every struct that
-// crosses the wire; gob silently accepts unregistered concrete types until
-// the first mixed-version peer decodes garbage, so the registry — not the
-// encoder — is the source of truth. The analyzer computes the closure of
-// package-local struct types reachable from gob Encode/Decode call
-// arguments through exported struct fields and demands it equal the
-// registry, in both directions. It also checks handler exhaustiveness:
-// every field of the request struct must be read somewhere in the package,
-// or a request kind exists that the server silently ignores.
+// crosses the wire, and codec.go hand-rolls an append<T>/parse<T> pair per
+// type. A field the encoder skips is silently dropped from every frame
+// with no runtime error, so the registry — not the codec — is the source
+// of truth, and the analyzer holds the two together with three rules:
 //
-// Packages that hand-roll a binary codec beside gob get a third rule: once
-// any registered type has an append<T>/parse<T> codec function, every
-// registered type must have both, and each must touch every field of its
-// type — a field the binary encoder skips is silently dropped from frames
-// with no runtime error, exactly the corruption mode the registry exists
-// to prevent. Packages with no such functions (gob-only) are unaffected.
+//   - Closure: the codec's entry points are the append<T>/parse<T>
+//     functions that non-codec code calls (send, receive). The
+//     package-local structs reachable from their types through struct
+//     fields must equal the registry, in both directions.
+//   - Completeness: every registered type has both append<T> and
+//     parse<T>, and each touches every field of its type.
+//   - Handlers: every field of the request struct is read somewhere in
+//     the package outside the codec, or a request kind exists that the
+//     server silently ignores.
 package registrycheck
 
 import (
@@ -40,7 +39,7 @@ const RequestType = "request"
 // Analyzer is the registrycheck analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "registrycheck",
-	Doc:  "requires every gob-encoded wire type to appear in the wireTypes registry, every request field to be handled, and every registered type's binary codec functions to cover all fields",
+	Doc:  "requires every wire type the codec entry points reach to appear in the wireTypes registry, every request field to be handled, and every registered type's codec functions to cover all fields",
 	Run:  run,
 }
 
@@ -53,13 +52,16 @@ func run(pass *analysis.Pass) (any, error) {
 		return nil, nil
 	}
 
-	reachable := wireClosure(pass)
+	decls := funcDecls(pass)
+	codec := codecFuncs(pass, decls)
+	handlers := handlerDecls(pass, codec)
+	reachable := wireClosure(pass, codec, handlers)
 
 	// Direction 1: every type that crosses the wire is registered.
 	for _, named := range sortedTypes(reachable) {
 		if !registry[named] {
 			pass.Reportf(reachable[named].Pos(),
-				"wire type %s reaches a gob encoder/decoder but is missing from the %s registry",
+				"wire type %s crosses the wire through a codec entry point but is missing from the %s registry",
 				named.Obj().Name(), RegistryVar)
 		}
 	}
@@ -67,32 +69,26 @@ func run(pass *analysis.Pass) (any, error) {
 	for _, named := range sortedTypes(positions) {
 		if _, ok := reachable[named]; !ok {
 			pass.Reportf(positions[named].Pos(),
-				"%s entry %s never reaches a gob encoder/decoder; dead registry entries hide real gaps",
+				"%s entry %s is reached by no codec entry point; dead registry entries hide real gaps",
 				RegistryVar, named.Obj().Name())
 		}
 	}
 
-	checkRequestFields(pass)
-	checkBinaryCodec(pass, positions)
+	checkRequestFields(pass, handlers)
+	checkCodec(pass, positions, decls)
 	return nil, nil
 }
 
-// codecFuncNames maps a registered type name to its binary codec function
-// names ("request" → appendRequest/parseRequest).
+// codecFuncNames maps a registered type name to its codec function names
+// ("request" → appendRequest/parseRequest).
 func codecFuncNames(typeName string) (appendName, parseName string) {
 	upper := strings.ToUpper(typeName[:1]) + typeName[1:]
 	return "append" + upper, "parse" + upper
 }
 
-// checkBinaryCodec enforces binary-codec completeness over the registry.
-// The rule arms only once the package defines an append<T> or parse<T>
-// function for some registered type; from then on every registered type
-// needs the full pair, and each function must touch every field of its
-// type. "Touch" is any selection of the field in the function body —
-// encoders read fields, decoders assign them, and either appears as a
-// selector — so a new wire field that only one side handles is caught at
-// the side that forgot it.
-func checkBinaryCodec(pass *analysis.Pass, positions map[*types.Named]ast.Node) {
+// funcDecls indexes the package's receiver-less function declarations by
+// name.
+func funcDecls(pass *analysis.Pass) map[string]*ast.FuncDecl {
 	decls := make(map[string]*ast.FuncDecl)
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
@@ -101,17 +97,37 @@ func checkBinaryCodec(pass *analysis.Pass, positions map[*types.Named]ast.Node) 
 			}
 		}
 	}
-	armed := false
-	for named := range positions {
-		a, p := codecFuncNames(named.Obj().Name())
-		if decls[a] != nil || decls[p] != nil {
-			armed = true
-			break
+	return decls
+}
+
+// codecFuncs maps each codec function of the package — append<T> or
+// parse<T> for a package-local struct type T — to T.
+func codecFuncs(pass *analysis.Pass, decls map[string]*ast.FuncDecl) map[*types.Func]*types.Named {
+	out := make(map[*types.Func]*types.Named)
+	for _, obj := range pass.Pkg.Scope().Names() {
+		named := localNamed(pass, pass.Pkg.Scope().Lookup(obj).Type())
+		if named == nil || named.Obj().Name() != obj {
+			continue
+		}
+		appendName, parseName := codecFuncNames(obj)
+		for _, name := range []string{appendName, parseName} {
+			if fd := decls[name]; fd != nil {
+				if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+					out[fn] = named
+				}
+			}
 		}
 	}
-	if !armed {
-		return
-	}
+	return out
+}
+
+// checkCodec enforces codec completeness over the registry: every
+// registered type needs the full append<T>/parse<T> pair, and each
+// function must touch every field of its type. "Touch" is any selection
+// of the field in the function body — encoders read fields, decoders
+// assign them, and either appears as a selector — so a new wire field
+// that only one side handles is caught at the side that forgot it.
+func checkCodec(pass *analysis.Pass, positions map[*types.Named]ast.Node, decls map[string]*ast.FuncDecl) {
 	for _, named := range sortedTypes(positions) {
 		st, ok := named.Underlying().(*types.Struct)
 		if !ok {
@@ -122,7 +138,7 @@ func checkBinaryCodec(pass *analysis.Pass, positions map[*types.Named]ast.Node) 
 			fd := decls[fnName]
 			if fd == nil {
 				pass.Reportf(positions[named].Pos(),
-					"wire type %s has no binary codec function %s: frames of this type cannot cross the binary wire",
+					"wire type %s has no codec function %s: frames of this type cannot cross the wire",
 					named.Obj().Name(), fnName)
 				continue
 			}
@@ -131,7 +147,7 @@ func checkBinaryCodec(pass *analysis.Pass, positions map[*types.Named]ast.Node) 
 				field := st.Field(i)
 				if !touched[field] {
 					pass.Reportf(fd.Name.Pos(),
-						"binary codec function %s never touches %s.%s: the field would be silently dropped from binary frames",
+						"codec function %s never touches %s.%s: the field would be silently dropped from every frame",
 						fnName, named.Obj().Name(), field.Name())
 				}
 			}
@@ -214,11 +230,14 @@ func registryEntries(pass *analysis.Pass) (map[*types.Named]bool, map[*types.Nam
 	return set, where
 }
 
-// wireClosure finds every package-local named struct type reachable from a
-// gob Encode/Decode argument through struct fields, mapped to the position
-// of the type's declaration (falling back to the call site for types whose
-// declaration is not in this package's files).
-func wireClosure(pass *analysis.Pass) map[*types.Named]ast.Node {
+// wireClosure finds every package-local named struct type reachable,
+// through struct fields, from the type of a codec entry point — a codec
+// function called from one of the handlers. Each type maps to its declaration (falling back to
+// the entry call site for types declared elsewhere). Codec functions
+// calling each other (appendResponse → appendResult) do not root
+// anything: the callee's type is reached through the caller's fields or
+// not at all.
+func wireClosure(pass *analysis.Pass, codec map[*types.Func]*types.Named, handlers []*ast.FuncDecl) map[*types.Named]ast.Node {
 	out := make(map[*types.Named]ast.Node)
 	var add func(t types.Type, at ast.Node)
 	add = func(t types.Type, at ast.Node) {
@@ -248,30 +267,39 @@ func wireClosure(pass *analysis.Pass) map[*types.Named]ast.Node {
 			}
 		}
 	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) != 1 {
-				return true
-			}
-			callee := analysis.CalleeFunc(pass.TypesInfo, call)
-			if callee == nil {
-				return true
-			}
-			recv := callee.Type().(*types.Signature).Recv()
-			if recv == nil {
-				return true
-			}
-			isEnc := callee.Name() == "Encode" && analysis.IsNamedType(recv.Type(), "encoding/gob", "Encoder")
-			isDec := callee.Name() == "Decode" && analysis.IsNamedType(recv.Type(), "encoding/gob", "Decoder")
-			if !isEnc && !isDec {
-				return true
-			}
-			if tv, ok := pass.TypesInfo.Types[call.Args[0]]; ok {
-				add(tv.Type, call)
+	for _, fd := range handlers {
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if named := codec[analysis.CalleeFunc(pass.TypesInfo, call)]; named != nil {
+					add(named, call)
+				}
 			}
 			return true
 		})
+	}
+	return out
+}
+
+// handlerDecls returns the package's function bodies outside the codec:
+// every declaration with a body that is not a codec function, skipping
+// test files (a test round-tripping a type does not put it on the wire,
+// and a test reading a request field does not handle it).
+func handlerDecls(pass *analysis.Pass, codec map[*types.Func]*types.Named) []*ast.FuncDecl {
+	var out []*ast.FuncDecl
+	for _, f := range pass.Files {
+		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
+			continue
+		}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok && codec[fn] != nil {
+				continue
+			}
+			out = append(out, fd)
+		}
 	}
 	return out
 }
@@ -297,8 +325,10 @@ func declNode(pass *analysis.Pass, named *types.Named, fallback ast.Node) ast.No
 }
 
 // checkRequestFields demands that every field of the request struct is
-// read (as an rvalue selector) somewhere in the package.
-func checkRequestFields(pass *analysis.Pass) {
+// read (as an rvalue selector) by some handler: the encoder reads every
+// field by construction, so its reads say nothing about whether a
+// handler serves the field.
+func checkRequestFields(pass *analysis.Pass, handlers []*ast.FuncDecl) {
 	scope := pass.Pkg.Scope()
 	obj, ok := scope.Lookup(RequestType).(*types.TypeName)
 	if !ok {
@@ -313,8 +343,8 @@ func checkRequestFields(pass *analysis.Pass) {
 		return
 	}
 	read := make(map[*types.Var]bool)
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
+	for _, fd := range handlers {
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			if assign, ok := n.(*ast.AssignStmt); ok {
 				for _, lhs := range assign.Lhs {
 					if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {

@@ -207,7 +207,7 @@ func wireField(name string) bool { return name == "Path" || name == "Paths" }
 
 // isWireStruct reports whether t (after pointer indirection) is a named
 // struct with a Path []string or Paths [][]string field — the duck test
-// for this module's gob wire requests.
+// for this module's wire requests.
 func isWireStruct(t types.Type) bool {
 	return wireStructName(t) != ""
 }

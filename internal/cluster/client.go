@@ -156,22 +156,6 @@ func WithBreaker(threshold int, cooldown time.Duration) ClientOption {
 	return breakerOption{threshold: threshold, cooldown: cooldown}
 }
 
-type codecOption nameserver.Codec
-
-func (o codecOption) apply(c *Client) {
-	for _, p := range c.shards {
-		p.codec = nameserver.Codec(o)
-	}
-}
-
-// WithCodec pins the wire codec for every replica connection, including
-// the bootstrap seed. The default (binary) negotiates per connection and
-// falls back to gob against older servers; pin gob to talk to servers
-// that predate the negotiation handshake entirely.
-func WithCodec(codec nameserver.Codec) ClientOption {
-	return codecOption(codec)
-}
-
 // NewClient returns a client over an already-known routing table.
 func NewClient(network string, routes *nameserver.RouteInfo, opts ...ClientOption) *Client {
 	c := &Client{
@@ -208,15 +192,8 @@ func NewClient(network string, routes *nameserver.RouteInfo, opts ...ClientOptio
 // error on the one-shot seed connection is ignored once the routing table
 // is in hand — the routes are valid regardless.
 func Dial(network, seedAddr string, opts ...ClientOption) (*Client, error) {
-	seedOpts := []nameserver.ClientOption{nameserver.WithTimeout(defaultTimeout)}
-	for _, o := range opts {
-		// The one-shot seed connection honors a pinned codec too: a
-		// gob-pinned fleet must not send the binary hello to its seed.
-		if co, ok := o.(codecOption); ok {
-			seedOpts = append(seedOpts, nameserver.WithCodec(nameserver.Codec(co)))
-		}
-	}
-	seed, err := nameserver.DialTimeout(network, seedAddr, defaultTimeout, seedOpts...)
+	seed, err := nameserver.DialTimeout(network, seedAddr, defaultTimeout,
+		nameserver.WithTimeout(defaultTimeout))
 	if err != nil {
 		return nil, fmt.Errorf("dial cluster seed: %w", err)
 	}
@@ -698,7 +675,6 @@ type replicaSet struct {
 	network          string
 	addrs            []string // replica addresses, primary first
 	timeout          time.Duration
-	codec            nameserver.Codec // zero value negotiates binary
 	breakerThreshold int
 	breakerCooldown  time.Duration
 	// onDial, when non-nil, runs once for each connection installed as the
@@ -826,9 +802,9 @@ func (p *replicaSet) dialReplica(r int) (*sharedConn, error) {
 	var err error
 	if p.timeout > 0 {
 		nc, err = nameserver.DialTimeout(p.network, p.addrs[r], p.timeout,
-			nameserver.WithTimeout(p.timeout), nameserver.WithCodec(p.codec))
+			nameserver.WithTimeout(p.timeout))
 	} else {
-		nc, err = nameserver.Dial(p.network, p.addrs[r], nameserver.WithCodec(p.codec))
+		nc, err = nameserver.Dial(p.network, p.addrs[r])
 	}
 	if err != nil {
 		return nil, err

@@ -465,45 +465,3 @@ func ExampleClient_ResolveBatch() {
 	fmt.Println(len(results), results[0].Err == nil, results[1].Err == nil)
 	// Output: 2 true true
 }
-
-// TestClusterCodecInterop runs the cross-version cluster matrix: a
-// gob-pinned client against binary-default servers (the hello is never
-// sent, the servers fall back per connection), and a default binary
-// client against gob-pinned servers (the hello is answered with the
-// downgrade byte). Both fleets must resolve across shards and mutate.
-func TestClusterCodecInterop(t *testing.T) {
-	run := func(t *testing.T, serverOpts []Option, clientOpts []ClientOption) {
-		w := core.NewWorld()
-		cl, err := New(w, testSpec, 2, serverOpts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(cl.Close)
-		client, err := Dial("tcp", cl.Addrs()[0], clientOpts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer client.Close()
-		for _, raw := range testPaths {
-			if _, err := client.Resolve(core.ParsePath(raw)); err != nil {
-				t.Fatalf("Resolve(%s): %v", raw, err)
-			}
-		}
-		target, err := client.Resolve(core.ParsePath("usr/bin/ls"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := client.Bind(core.ParsePath("usr/bin"), "twin", target); err != nil {
-			t.Fatalf("Bind: %v", err)
-		}
-		if got, err := client.Resolve(core.ParsePath("usr/bin/twin")); err != nil || got != target {
-			t.Fatalf("Resolve of bound name = %v, %v; want %v", got, err, target)
-		}
-	}
-	t.Run("gob-client/binary-servers", func(t *testing.T) {
-		run(t, nil, []ClientOption{WithCodec(nameserver.CodecGob)})
-	})
-	t.Run("binary-client/gob-servers", func(t *testing.T) {
-		run(t, []Option{WithServerOptions(nameserver.WithServerCodec(nameserver.CodecGob))}, nil)
-	})
-}

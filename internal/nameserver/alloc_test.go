@@ -2,7 +2,7 @@
 
 // Allocation-floor regression tests for the //namingvet:allocfree wire
 // roots. allocfree proves the annotated paths reach no allocating code
-// outside the exempted gob calls; these tests pin the measured floors at
+// outside their amortized exemptions; these tests pin the measured floors at
 // runtime, so a change that reintroduces a per-request allocation fails
 // go test even if nobody reads a benchmark. Excluded under -race: the race
 // runtime adds its own allocations and would skew every floor.
@@ -27,7 +27,7 @@ func allocFloor(t *testing.T, name string, want float64, f func()) {
 // TestServerResolveAllocFree pins the server's whole resolve path —
 // handle → resolveOne → CheckWirePath → World.Resolve — at zero
 // allocations once the worker's scratch has warmed up. This is the
-// decode→resolve→encode worker loop minus the two exempted gob calls.
+// decode→resolve→encode worker loop minus the frame decode and encode.
 func TestServerResolveAllocFree(t *testing.T) {
 	w, tr, _ := exportedTree(t)
 	s := NewServer(w, tr.RootContext())
@@ -99,8 +99,8 @@ func TestCachedResolveAllocFloor(t *testing.T) {
 // bookkeeping, send, the server worker pool, lead — at zero allocations
 // under the binary codec: the call state, with its completion channel and
 // wire-path buffer, comes off the client's free list, and encode and
-// decode allocate nothing on either end. The gob floor before this codec
-// was 13; EXPERIMENTS.md records the trajectory.
+// decode allocate nothing on either end. EXPERIMENTS.md records the
+// trajectory.
 func TestRoundTripAllocFloor(t *testing.T) {
 	w, tr, f := exportedTree(t)
 	s := NewServer(w, tr.RootContext())
@@ -111,24 +111,6 @@ func TestRoundTripAllocFloor(t *testing.T) {
 		t.Fatalf("prime Resolve = %v, %v", got, err)
 	}
 	allocFloor(t, "Resolve/round-trip", 0, func() {
-		if _, err := c.Resolve(p); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-// TestRoundTripAllocFloorGob pins the legacy codec's floor so the gob
-// fallback cannot quietly regress while it remains selectable.
-func TestRoundTripAllocFloorGob(t *testing.T) {
-	w, tr, f := exportedTree(t)
-	s := NewServer(w, tr.RootContext(), WithServerCodec(CodecGob))
-	c := pipeClient(t, s, WithCodec(CodecGob))
-
-	p := core.ParsePath("usr/bin/ls")
-	if got, err := c.Resolve(p); err != nil || got != f {
-		t.Fatalf("prime Resolve = %v, %v", got, err)
-	}
-	allocFloor(t, "Resolve/round-trip-gob", 13, func() {
 		if _, err := c.Resolve(p); err != nil {
 			t.Fatal(err)
 		}

@@ -93,7 +93,7 @@ func TestCallStateReuseAfterFailure(t *testing.T) {
 			clientConn, serverConn := net.Pipe()
 			release := make(chan struct{})
 			stallServer(t, serverConn, 1, release)
-			c := NewClient(clientConn, WithCodec(CodecGob))
+			c := NewClient(clientConn)
 			t.Cleanup(func() { _ = c.Close() })
 			return c, func() error {
 				time.AfterFunc(50*time.Millisecond, func() { close(release) })
@@ -104,7 +104,7 @@ func TestCallStateReuseAfterFailure(t *testing.T) {
 			clientConn, serverConn := net.Pipe()
 			release := make(chan struct{})
 			stallServer(t, serverConn, 1, release)
-			c := NewClient(clientConn, WithCodec(CodecGob), WithTimeout(100*time.Millisecond))
+			c := NewClient(clientConn, WithTimeout(100*time.Millisecond))
 			t.Cleanup(func() {
 				close(release)
 				_ = c.Close()

@@ -1,7 +1,6 @@
 package nameserver
 
 import (
-	"encoding/gob"
 	"errors"
 	"net"
 	"strings"
@@ -87,7 +86,7 @@ func TestBatchNonCanonicalSlots(t *testing.T) {
 	}
 }
 
-// TestServerRevalidatesWirePaths bypasses the client and speaks raw gob:
+// TestServerRevalidatesWirePaths bypasses the client and hand-writes frames:
 // the server must reject non-canonical paths itself (§6 — coherence is
 // checked where the name is used, not only where it was made).
 func TestServerRevalidatesWirePaths(t *testing.T) {
@@ -105,15 +104,17 @@ func TestServerRevalidatesWirePaths(t *testing.T) {
 		wg.Wait()
 	})
 
-	enc := gob.NewEncoder(clientEnd)
-	dec := gob.NewDecoder(clientEnd)
+	peer, err := dialPeer(clientEnd)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, raw := range [][]string{{"usr", "bin/ls"}, {"usr", ""}, nil} {
-		if err := enc.Encode(request{Path: raw}); err != nil {
+		if err := peer.writeRequest(request{Path: raw}); err != nil {
 			t.Fatal(err)
 		}
-		var resp response
-		if err := dec.Decode(&resp); err != nil {
+		resp, err := peer.readResponse()
+		if err != nil {
 			t.Fatal(err)
 		}
 		if !strings.Contains(resp.Err, "not wire-canonical") {
@@ -122,11 +123,11 @@ func TestServerRevalidatesWirePaths(t *testing.T) {
 	}
 
 	// A batch gets per-result rejections; the good element still resolves.
-	if err := enc.Encode(request{Paths: [][]string{{"usr", "bin", "ls"}, {"usr", "bin/ls"}}}); err != nil {
+	if err := peer.writeRequest(request{Paths: [][]string{{"usr", "bin", "ls"}, {"usr", "bin/ls"}}}); err != nil {
 		t.Fatal(err)
 	}
-	var resp response
-	if err := dec.Decode(&resp); err != nil {
+	resp, err := peer.readResponse()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(resp.Results) != 2 {

@@ -6,7 +6,6 @@ package nameserver
 // design both deadlocked until the server answered.
 
 import (
-	"encoding/gob"
 	"net"
 	"testing"
 	"time"
@@ -19,19 +18,20 @@ import (
 func stallServer(t *testing.T, conn net.Conn, n int, release <-chan struct{}) {
 	t.Helper()
 	go func() {
-		dec := gob.NewDecoder(conn)
-		enc := gob.NewEncoder(conn)
+		peer, err := acceptPeer(conn)
+		if err != nil {
+			return
+		}
 		for k := 0; k < n; k++ {
-			var req request
-			if dec.Decode(&req) != nil {
+			req, err := peer.readRequest()
+			if err != nil {
 				return
 			}
-			if enc.Encode(response{ID: req.ID, Ent: uint64(k + 1), Kind: 1, Rev: 1}) != nil {
+			if peer.writeResponse(response{ID: req.ID, Ent: uint64(k + 1), Kind: 1, Rev: 1}) != nil {
 				return
 			}
 		}
-		var req request
-		if dec.Decode(&req) != nil {
+		if _, err := peer.readRequest(); err != nil {
 			return
 		}
 		<-release // hold the round-trip open
@@ -59,9 +59,7 @@ func TestStatsNotBlockedByInflightResolve(t *testing.T) {
 	release := make(chan struct{})
 	stallServer(t, serverConn, 0, release)
 
-	// The fake server speaks raw gob, so pin the codec (negotiating
-	// against it would hang on the one-byte hello).
-	c := NewClient(clientConn, WithCache(4), WithCodec(CodecGob))
+	c := NewClient(clientConn, WithCache(4))
 	defer c.Close()
 
 	inflight := make(chan struct{})
@@ -86,8 +84,7 @@ func TestCacheHitNotBlockedByInflightResolve(t *testing.T) {
 	release := make(chan struct{})
 	stallServer(t, serverConn, 1, release)
 
-	// The fake server speaks raw gob, so pin the codec.
-	c := NewClient(clientConn, WithCache(4), WithCodec(CodecGob))
+	c := NewClient(clientConn, WithCache(4))
 	defer c.Close()
 
 	// Warm the cache with the one answered request.

@@ -1,9 +1,7 @@
-// Binary wire codec: a hand-rolled, length-prefixed encoding for the
-// closed wire-type set in wire.go, replacing gob on the hot path. gob's
-// reflection-driven encode/decode was the dominant per-frame cost once
-// PR 8 removed the other steady-path allocations; this codec encodes by
-// appending to a reused buffer and decodes by slicing a reused frame,
-// so a steady resolve round-trip touches the allocator zero times.
+// Wire codec: a hand-rolled, length-prefixed binary encoding for the
+// closed wire-type set in wire.go. It encodes by appending to a reused
+// buffer and decodes by slicing a reused frame, so a steady resolve
+// round-trip touches the allocator zero times.
 //
 // # Framing
 //
@@ -17,79 +15,34 @@
 //   - bools are one byte, strictly 0 or 1
 //   - strings are a uvarint length followed by the bytes
 //   - slices are a uvarint count followed by the elements; a zero count
-//     decodes to nil (nil and empty collapse, exactly as gob's
-//     zero-value omission collapsed them, so no caller can tell)
+//     decodes to nil (nil and empty collapse, so no caller can tell)
 //   - the one pointer field (response.Routes) is a presence byte, then
 //     the RouteInfo body if present
 //
 // Which message type a frame holds is positional, never encoded:
-// clients only send requests and servers only send responses, the same
-// property the gob streams relied on.
+// clients only send requests and servers only send responses.
 //
-// # Negotiation
+// # Hello
 //
-// A binary-codec client opens with a single magic byte (0xB1) and waits
-// for the server's one-byte choice before sending any frame. The magic
-// can never begin a gob stream — a gob message starts with its byte
-// count, which is either a small literal (0x00–0x7F) or a negated count
-// byte (0xF8–0xFF) — so a server can sniff the first byte: magic means
-// "negotiate", anything else means a legacy gob client, served as
-// before. The server answers 0xB1 (speak binary) or 0xB0 (fall back to
-// gob, the policy of WithServerCodec(CodecGob)), keeping both
-// directions of the old/new pairing working for one release.
+// A client opens with a single magic byte (0xB1) and waits for the
+// server to echo it before sending any frame. The server closes any
+// connection whose first byte is anything else, before it parses a frame
+// or starts a worker, and a client fails Dial unless the echo arrives —
+// so a peer that does not speak this protocol is refused at once on
+// either end instead of being misread frame by frame.
 package nameserver
 
 import (
 	"bufio"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"sort"
 )
 
-// Codec identifies the wire encoding of one connection.
-type Codec uint8
-
-const (
-	// CodecBinary is the hand-rolled length-prefixed binary codec
-	// (default; negotiated down to gob when the server insists).
-	CodecBinary Codec = iota
-	// CodecGob is the legacy gob stream, wire-identical to the previous
-	// release. Selectable for one release while peers upgrade.
-	CodecGob
-)
-
-// String names the codec for flags and error messages.
-func (c Codec) String() string {
-	switch c {
-	case CodecBinary:
-		return "binary"
-	case CodecGob:
-		return "gob"
-	}
-	return fmt.Sprintf("Codec(%d)", uint8(c))
-}
-
-// ParseCodec converts a -codec flag value to a Codec.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "binary":
-		return CodecBinary, nil
-	case "gob":
-		return CodecGob, nil
-	}
-	return 0, fmt.Errorf("unknown codec %q (want binary or gob)", s)
-}
-
-const (
-	// binaryMagic is the client's opening byte offering the binary
-	// codec; doubling as the server's "binary accepted" reply keeps the
-	// handshake a one-byte echo in the common case.
-	binaryMagic byte = 0xB1
-	// replyGob is the server's "fall back to gob" reply.
-	replyGob byte = 0xB0
-)
+// protocolMagic is the one-byte hello: the client's opening byte and the
+// server's echo.
+const protocolMagic byte = 0xB1
 
 // maxFrame bounds a frame body. Requests and responses are small (the
 // largest realistic frame is a batch of resolutions); a length beyond

@@ -1,14 +1,13 @@
 package nameserver
 
-// Unit tests for the hand-rolled binary wire codec: agreement with gob
-// field-for-field on every registered wire type, byte-stable encoding,
-// dirty-scratch overwrite semantics, and hard errors (never panics) on
-// malformed input. The fuzz target in fuzz_test.go extends the malformed
-// cases to arbitrary bytes.
+// Unit tests for the hand-rolled binary wire codec: byte-stable
+// encoding, dirty-scratch overwrite semantics, and hard errors (never
+// panics) on malformed input. TestWireRoundTrip (wire_test.go) covers
+// every registered wire type field-for-field; the fuzz targets in
+// fuzz_test.go extend the malformed cases to arbitrary bytes.
 
 import (
 	"bytes"
-	"encoding/gob"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -60,42 +59,6 @@ func binaryRoundTrip(t *testing.T, v any) any {
 	}
 }
 
-// gobRoundTrip encodes v with gob and decodes it back.
-func gobRoundTrip(t *testing.T, v any) any {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatalf("gob encode: %v", err)
-	}
-	out := reflect.New(reflect.TypeOf(v))
-	if err := gob.NewDecoder(&buf).Decode(out.Interface()); err != nil {
-		t.Fatalf("gob decode: %v", err)
-	}
-	return out.Elem().Interface()
-}
-
-// TestBinaryGobAgreement decodes every registered wire type through both
-// codecs and requires identical results. Both codecs collapse empty
-// collections to nil (gob by zero-omission, the binary codec by decoding
-// count zero as nil), so the decoded values — not the inputs — are the
-// comparable pair. The registry sweep makes a new wire type without a
-// binary case a test failure, mirroring registrycheck's static rule.
-func TestBinaryGobAgreement(t *testing.T) {
-	values := populated()
-	for name := range wireTypes {
-		if _, ok := values[name]; !ok {
-			t.Fatalf("wire type %q has no populated test value", name)
-		}
-	}
-	for name, v := range values {
-		viaGob := gobRoundTrip(t, v)
-		viaBinary := binaryRoundTrip(t, v)
-		if !reflect.DeepEqual(viaGob, viaBinary) {
-			t.Errorf("%s: codecs disagree:\n gob    %#v\n binary %#v", name, viaGob, viaBinary)
-		}
-	}
-}
-
 // TestBinaryByteStable requires encoding to be deterministic — the same
 // value always yields the same bytes (RouteInfo's Prefixes map is the
 // hazard: its pairs are emitted in sorted key order) — and idempotent
@@ -125,9 +88,8 @@ func TestBinaryByteStable(t *testing.T) {
 	}
 }
 
-// TestBinaryNilEmptyCollapse pins the codec's zero-omission parity with
-// gob: empty-but-non-nil collections encode as count zero and decode as
-// nil. The protocol depends on this only in one place — req.Paths != nil
+// TestBinaryNilEmptyCollapse pins the codec's nil/empty collapse:
+// empty-but-non-nil collections encode as count zero and decode as nil. The protocol depends on this only in one place — req.Paths != nil
 // discriminates a batch — and clients never send an empty non-nil batch.
 func TestBinaryNilEmptyCollapse(t *testing.T) {
 	in := request{ID: 5, Path: []string{}, Paths: [][]string{}}

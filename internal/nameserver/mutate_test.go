@@ -255,3 +255,60 @@ func TestPushInvalidationCallback(t *testing.T) {
 		t.Fatal("onInval callback never ran")
 	}
 }
+
+// exerciseClient runs one resolve and one mutation round-trip — the two
+// request shapes with distinct wire paths — and verifies both landed.
+func exerciseClient(t *testing.T, c *Client, f core.Entity) {
+	t.Helper()
+	got, err := c.Resolve(core.ParsePath("usr/bin/ls"))
+	if err != nil {
+		t.Fatalf("resolve: %v", err)
+	}
+	if got != f {
+		t.Fatalf("resolve = %v, want %v", got, f)
+	}
+	rev, err := c.Bind(core.ParsePath("usr/bin"), "twin", f)
+	if err != nil {
+		t.Fatalf("bind: %v", err)
+	}
+	if rev == 0 {
+		t.Fatal("bind returned revision 0")
+	}
+	if got, err := c.Resolve(core.ParsePath("usr/bin/twin")); err != nil || got != f {
+		t.Fatalf("resolve of bound name = %v, %v; want %v", got, err, f)
+	}
+	if _, err := c.Unbind(core.ParsePath("usr/bin"), "twin"); err != nil {
+		t.Fatalf("unbind: %v", err)
+	}
+}
+
+// TestInteropBinaryBothEnds: a client and a server meet over the real
+// hello and carry reads and mutations.
+func TestInteropBinaryBothEnds(t *testing.T) {
+	w, tr, f := exportedTree(t)
+	s := NewServer(w, tr.RootContext())
+	c := pipeClient(t, s)
+	exerciseClient(t, c, f)
+}
+
+// TestInteropInvalidationPush verifies the push path (server-initiated
+// ID-0 frames) over the real hello: a subscribed client must see the
+// invalidation a mutation triggers.
+func TestInteropInvalidationPush(t *testing.T) {
+	w, tr, f := exportedTree(t)
+	s := NewServer(w, tr.RootContext())
+	c := pipeClient(t, s, WithCoherentCache(8))
+
+	seen := make(chan uint64, 4)
+	if err := c.Subscribe(func(rev uint64) { seen <- rev }); err != nil {
+		t.Fatalf("subscribe: %v", err)
+	}
+	if _, err := c.Bind(core.ParsePath("usr/bin"), "pushed", f); err != nil {
+		t.Fatalf("bind: %v", err)
+	}
+	select {
+	case <-seen:
+	case <-time.After(2 * time.Second):
+		t.Fatal("no invalidation push arrived")
+	}
+}

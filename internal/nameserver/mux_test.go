@@ -6,7 +6,6 @@ package nameserver
 // cache miss served).
 
 import (
-	"encoding/gob"
 	"errors"
 	"net"
 	"os"
@@ -77,7 +76,7 @@ func TestStatsMissCountedOnlyOnSuccess(t *testing.T) {
 	}
 }
 
-// selectiveServer speaks raw gob on conn: it answers every request except
+// selectiveServer speaks the wire protocol by hand on conn: it answers every request except
 // single resolves of holdPath, which it withholds until release is
 // closed (and then answers, late). It exercises the client against a
 // server that is slow on one call but healthy on the rest — something
@@ -85,15 +84,17 @@ func TestStatsMissCountedOnlyOnSuccess(t *testing.T) {
 func selectiveServer(t *testing.T, conn net.Conn, holdPath string, release <-chan struct{}) {
 	t.Helper()
 	go func() {
-		dec := gob.NewDecoder(conn)
-		enc := gob.NewEncoder(conn)
+		peer, err := acceptPeer(conn)
+		if err != nil {
+			return
+		}
 		var held []request
 		answer := func(req request) bool {
-			return enc.Encode(response{ID: req.ID, Ent: 7, Kind: 1, Rev: 1}) == nil
+			return peer.writeResponse(response{ID: req.ID, Ent: 7, Kind: 1, Rev: 1}) == nil
 		}
 		for {
-			var req request
-			if dec.Decode(&req) != nil {
+			req, err := peer.readRequest()
+			if err != nil {
 				break
 			}
 			if len(req.Path) == 1 && req.Path[0] == holdPath {
@@ -106,7 +107,7 @@ func selectiveServer(t *testing.T, conn net.Conn, holdPath string, release <-cha
 		}
 		<-release
 		for _, req := range held {
-			_ = enc.Encode(response{ID: req.ID, Ent: 9, Kind: 1, Rev: 1})
+			_ = peer.writeResponse(response{ID: req.ID, Ent: 9, Kind: 1, Rev: 1})
 		}
 		_ = conn.Close()
 	}()
@@ -121,8 +122,7 @@ func TestTimeoutFailsOnlyHungCall(t *testing.T) {
 	release := make(chan struct{})
 	selectiveServer(t, serverConn, "hang", release)
 
-	// The fake server speaks raw gob, so pin the codec.
-	c := NewClient(clientConn, WithTimeout(time.Second), WithCodec(CodecGob))
+	c := NewClient(clientConn, WithTimeout(time.Second))
 	defer c.Close()
 
 	hungErr := make(chan error, 1)
@@ -178,8 +178,7 @@ func TestLateResponseAfterTimeoutIsDiscarded(t *testing.T) {
 	release := make(chan struct{})
 	selectiveServer(t, serverConn, "hang", release)
 
-	// The fake server speaks raw gob, so pin the codec.
-	c := NewClient(clientConn, WithTimeout(100*time.Millisecond), WithCodec(CodecGob))
+	c := NewClient(clientConn, WithTimeout(100*time.Millisecond))
 	defer c.Close()
 
 	if _, err := c.Resolve(core.Path{"hang"}); !errors.Is(err, os.ErrDeadlineExceeded) {

@@ -2,7 +2,6 @@ package nameserver
 
 import (
 	"bufio"
-	"encoding/gob"
 	"net"
 	"runtime"
 	"sync"
@@ -64,9 +63,8 @@ const serveWriteTimeout = time.Minute
 type Server struct {
 	world    *core.World
 	export   core.Context
-	workers  int   // per-connection resolver pool size; immutable after NewServer
-	readonly bool  // immutable after NewServer; mutations are refused
-	codec    Codec // negotiation policy (see WithServerCodec); immutable after NewServer
+	workers  int  // per-connection resolver pool size; immutable after NewServer
+	readonly bool // immutable after NewServer; mutations are refused
 
 	// wmu serializes every binding mutation applied through this server
 	// (the wire write path and Stable). It is never held across wire I/O;
@@ -125,20 +123,6 @@ type readonlyOption struct{}
 
 func (readonlyOption) apply(s *Server) { s.readonly = true }
 
-type serverCodecOption Codec
-
-func (o serverCodecOption) apply(s *Server) { s.codec = Codec(o) }
-
-// WithServerCodec sets the codec policy for negotiating clients. The
-// default, CodecBinary, accepts a client's binary offer; CodecGob makes
-// the server answer every offer with the gob fallback — the rollback
-// lever while the binary codec is proving itself. Legacy clients that
-// never offer (raw gob from the first byte) are served as gob under
-// either policy.
-func WithServerCodec(codec Codec) ServerOption {
-	return serverCodecOption(codec)
-}
-
 // WithReadOnly refuses every wire mutation with a clean error while
 // leaving resolution untouched. Useful for serving a frozen snapshot or
 // fencing a shard during maintenance.
@@ -194,21 +178,18 @@ func (s *Server) Serve(ln net.Listener) {
 }
 
 // connState bundles the wire state one connection's worker pool shares.
-// The decoder is guarded by dtoken and the encoder by wtoken — capacity-1
-// token channels rather than mutexes, because encoding to the peer is
+// The reader is guarded by dtoken and the writer by wtoken — capacity-1
+// token channels rather than mutexes, because writing to the peer is
 // wire I/O and no sync.Mutex may be held across wire I/O (lockheld).
 type connState struct {
 	conn      net.Conn
-	codec     Codec         // settled by negotiation; immutable afterwards
 	br        *bufio.Reader // guarded by dtoken
-	dec       *gob.Decoder  // guarded by dtoken; nil unless the codec is gob
 	bw        *bufio.Writer // guarded by wtoken
-	enc       *gob.Encoder  // guarded by wtoken; nil unless the codec is gob
 	dtoken    chan struct{} // capacity 1; held by the worker currently decoding
 	wtoken    chan struct{} // capacity 1; held while encoding and flushing
 	wq        atomic.Int32  // declared write intents; >0 after our encode elides our flush
 	wdeadline time.Time     // armed write deadline; guarded by wtoken
-	wbuf      []byte        // binary encode scratch; guarded by wtoken
+	wbuf      []byte        // encode scratch; guarded by wtoken
 	deadOnce  sync.Once
 	// invalC carries revisions to this connection's pusher goroutine.
 	// Capacity 1 with drop-and-replace offers: consecutive bumps coalesce
@@ -260,22 +241,17 @@ func (s *Server) ServeConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	br := bufio.NewReader(conn)
-	codec, err := negotiateServer(conn, br, s.codec)
-	if err != nil {
-		// The peer vanished before its first byte, or died mid-handshake.
+	if !helloServer(conn, br) {
+		// The peer vanished before its first byte, died mid-hello, or does
+		// not speak this protocol: it gets no workers and no pusher.
 		return
 	}
 	st := &connState{
 		conn:   conn,
-		codec:  codec,
 		br:     br,
 		bw:     bufio.NewWriter(conn),
 		dtoken: make(chan struct{}, 1),
 		wtoken: make(chan struct{}, 1),
-	}
-	if codec == CodecGob {
-		st.dec = gob.NewDecoder(br)
-		st.enc = gob.NewEncoder(st.bw)
 	}
 	st.invalC = make(chan uint64, 1)
 	var pushWG sync.WaitGroup
@@ -303,35 +279,21 @@ func (s *Server) ServeConn(conn net.Conn) {
 	pushWG.Wait()
 }
 
-// negotiateServer settles a fresh connection's codec by sniffing its
-// first byte. The binary magic can never begin a gob stream (a gob
-// message opens with a small length byte or a negated byte count — see
-// the package comment in codec.go), so the sniff is unambiguous: magic
-// means a negotiating client, answered with this server's policy;
-// anything else is a legacy client, served as raw gob with nothing
-// consumed and nothing written. The wait for the first byte is the
-// connection's ordinary idle state — Close unblocks it by closing the
-// conn, exactly as it unblocks a worker's idle decode.
-func negotiateServer(conn net.Conn, br *bufio.Reader, policy Codec) (Codec, error) {
-	first, err := br.Peek(1)
-	if err != nil {
-		return 0, err
-	}
-	if first[0] != binaryMagic {
-		return CodecGob, nil
-	}
-	_, _ = br.Discard(1)
-	chosen := policy
-	reply := [1]byte{binaryMagic}
-	if chosen != CodecBinary {
-		chosen = CodecGob
-		reply[0] = replyGob
+// helloServer reports whether a fresh connection opens with the protocol
+// magic, echoing it if so. Anything else is a peer that does not speak
+// this protocol, refused before a single frame is parsed. The wait for
+// the first byte is the connection's ordinary idle state — Close
+// unblocks it by closing the conn, exactly as it unblocks a worker's
+// idle read.
+func helloServer(conn net.Conn, br *bufio.Reader) bool {
+	first, err := br.ReadByte()
+	if err != nil || first != protocolMagic {
+		return false
 	}
 	_ = conn.SetWriteDeadline(time.Now().Add(serveWriteTimeout))
-	if _, err := conn.Write(reply[:]); err != nil {
-		return 0, err
-	}
-	return chosen, nil
+	magic := [1]byte{protocolMagic}
+	_, err = conn.Write(magic[:])
+	return err == nil
 }
 
 // pushInvalidations is a connection's push goroutine: it forwards every
@@ -350,15 +312,15 @@ func (s *Server) pushInvalidations(st *connState) {
 
 // workerScratch is one resolver goroutine's reusable state: the frame
 // and decode buffers a request is parsed into, and the path/results
-// buffers resolution fills. Workers never share a scratch, so with the
-// binary codec steady-state serving touches the allocator not at all —
+// buffers resolution fills. Workers never share a scratch, so
+// steady-state serving touches the allocator not at all —
 // every buffer reaches its high-water mark and is reused, and the
 // intern table absorbs the connection's recurring names.
 type workerScratch struct {
 	req     request
 	path    core.Path
 	results []result
-	// Binary-codec decode state: the raw frame (filled under dtoken,
+	// Decode state: the raw frame (filled under dtoken,
 	// parsed after release, so workers parse in parallel), the backing
 	// arrays for the decoded request's Path/Paths, and the intern table
 	// for its strings.
@@ -384,29 +346,16 @@ func (s *Server) serveRequests(st *connState) {
 	// overwrites it wholesale before use.
 	var resp response
 	for {
+		// Read the raw frame under the token, parse it after release: the
+		// stream stays single-streamed while workers parse (and resolve)
+		// in parallel. An idle read blocks until the peer speaks; Close
+		// unblocks it by closing the conn (conndeadline's idle-loop
+		// exemption knows this).
 		st.dtoken <- struct{}{}
-		var err error
-		if st.codec == CodecBinary {
-			// Read the raw frame under the token, parse it after release:
-			// the stream stays single-streamed while workers parse (and
-			// resolve) in parallel. An idle read blocks until the peer
-			// speaks; Close unblocks it by closing the conn.
-			var body []byte
-			body, err = readFrame(st.br, &sc.frame)
-			<-st.dtoken
-			if err == nil {
-				err = parseRequest(body, &sc.req, &sc)
-			}
-		} else {
-			// Zero the scratch before reuse: gob merges into an existing
-			// value, so a field the next message omits would leak the
-			// previous one.
-			sc.req = request{}
-			// An idle read blocks until the peer speaks; Close unblocks it by
-			// closing the conn (conndeadline's idle-loop exemption knows this).
-			//namingvet:allocfree-exempt -- legacy gob codec, selectable for one release
-			err = st.dec.Decode(&sc.req)
-			<-st.dtoken
+		body, err := readFrame(st.br, &sc.frame)
+		<-st.dtoken
+		if err == nil {
+			err = parseRequest(body, &sc.req, &sc)
 		}
 		if err != nil {
 			st.die() // EOF, broken peer, or torn frame; drain the rest of the pool
@@ -450,19 +399,11 @@ func (s *Server) respond(st *connState, resp *response) {
 		st.wdeadline = now.Add(serveWriteTimeout)
 		_ = st.conn.SetWriteDeadline(st.wdeadline)
 	}
-	var err error
-	if st.codec == CodecBinary {
-		// Append-encode into the token-guarded scratch: the response's
-		// bytes are built and written with zero heap traffic.
-		st.wbuf = appendResponse(st.wbuf[:0], resp)
-		err = writeFrame(st.bw, st.wbuf)
-	} else {
-		//namingvet:allocfree-exempt -- legacy gob codec, selectable for one release
-		err = st.enc.Encode(resp)
-	}
+	// Append-encode into the token-guarded scratch: the response's bytes
+	// are built and written with zero heap traffic.
+	st.wbuf = appendResponse(st.wbuf[:0], resp)
+	err := writeFrame(st.bw, st.wbuf)
 	if rem := st.wq.Add(-1); err == nil && rem == 0 {
-		// Flush at the message boundary: gob alone issues several small
-		// writes per message, each a syscall on a real conn.
 		err = st.bw.Flush()
 	}
 	<-st.wtoken

@@ -1,15 +1,14 @@
 package nameserver
 
 import (
-	"bytes"
-	"encoding/gob"
 	"reflect"
 	"testing"
 )
 
 // populated returns a representative, fully-populated value of each wire
-// type. Every field is non-zero so a field silently dropped by gob (for
-// example by becoming unexported) fails the round-trip comparison.
+// type. Every field is non-zero (TestWireRegistryComplete holds it to
+// that) so a field the codec silently drops fails the round-trip
+// comparison.
 func populated() map[string]any {
 	return map[string]any{
 		"request": request{
@@ -46,6 +45,7 @@ func populated() map[string]any {
 				Addrs:    []string{"a:1", "b:2", "c:3"},
 				Replicas: [][]string{{"a:1", "a:9"}, {"b:2"}, {"c:3"}},
 			},
+			Invalidation: true,
 		},
 		"RouteInfo": RouteInfo{
 			Prefixes: map[string]int{"x": 4},
@@ -56,8 +56,9 @@ func populated() map[string]any {
 	}
 }
 
-// TestWireRoundTrip gob-encodes and decodes a populated value of every
-// registered wire type and requires the result to be identical.
+// TestWireRoundTrip encodes and decodes a populated value of every
+// registered wire type through its append<T>/parse<T> pair and requires
+// the result to be identical.
 func TestWireRoundTrip(t *testing.T) {
 	values := populated()
 	for name := range wireTypes {
@@ -69,34 +70,33 @@ func TestWireRoundTrip(t *testing.T) {
 		if _, ok := wireTypes[name]; !ok {
 			t.Fatalf("test value %q is not in the wireTypes registry", name)
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-			t.Fatalf("%s: encode: %v", name, err)
-		}
-		out := reflect.New(reflect.TypeOf(v))
-		if err := gob.NewDecoder(&buf).Decode(out.Interface()); err != nil {
-			t.Fatalf("%s: decode: %v", name, err)
-		}
-		got := out.Elem().Interface()
-		if !reflect.DeepEqual(got, v) {
+		if got := binaryRoundTrip(t, v); !reflect.DeepEqual(got, v) {
 			t.Errorf("%s: round trip mismatch:\n got %#v\nwant %#v", name, got, v)
 		}
 	}
 }
 
-// TestWireRegistryComplete requires every wire struct in wireTypes to
-// have all fields exported: an unexported field would be silently dropped
-// by gob, corrupting the protocol without an error.
+// TestWireRegistryComplete requires every registered wire type to be a
+// struct whose populated() value sets every field: a zero field would
+// round-trip unchanged even if the codec dropped it, so TestWireRoundTrip
+// would miss the loss.
 func TestWireRegistryComplete(t *testing.T) {
+	values := populated()
 	for name, v := range wireTypes {
 		rt := reflect.TypeOf(v)
 		if rt.Kind() != reflect.Struct {
 			t.Errorf("%s: wire type is %s, want struct", name, rt.Kind())
 			continue
 		}
+		pv, ok := values[name]
+		if !ok {
+			t.Errorf("%s: no populated test value", name)
+			continue
+		}
+		rv := reflect.ValueOf(pv)
 		for i := 0; i < rt.NumField(); i++ {
-			if f := rt.Field(i); !f.IsExported() {
-				t.Errorf("%s: field %s is unexported and would be dropped by gob", name, f.Name)
+			if rv.Field(i).IsZero() {
+				t.Errorf("%s: populated value leaves field %s zero", name, rt.Field(i).Name)
 			}
 		}
 	}

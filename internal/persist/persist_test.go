@@ -188,7 +188,7 @@ func TestOpaqueStatesCounted(t *testing.T) {
 }
 
 func TestLoadGarbage(t *testing.T) {
-	_, err := Load(strings.NewReader("not a gob stream"))
+	_, err := Load(strings.NewReader("not a snapshot"))
 	if !errors.Is(err, ErrBadSnapshot) {
 		t.Fatalf("err = %v", err)
 	}

@@ -309,7 +309,7 @@ type (
 
 // Persistence.
 var (
-	// SaveWorld writes a gob snapshot of a world.
+	// SaveWorld writes a canonical binary snapshot of a world.
 	SaveWorld = persist.Save
 	// LoadWorld reconstructs a world from a snapshot.
 	LoadWorld = persist.Load
